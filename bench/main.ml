@@ -35,13 +35,12 @@ let check_sound ~bound ~observed =
   Atomic.incr soundness_checks;
   if observed > bound then Atomic.incr soundness_failures
 
-(* Shared memoizing result cache and phase telemetry: experiments repeat
-   many (program, annotations, platform) points — T2's four identical
-   tasks, F1's sweep rows, T12's conventional platform equal to T1's —
-   and the cache serves the repeats.  T10 and the bechamel rows time the
-   *cost* of analysis, so they keep calling the raw entry points. *)
+(* Shared memoizing result cache: experiments repeat many (program,
+   annotations, platform) points — T2's four identical tasks, F1's sweep
+   rows, T12's conventional platform equal to T1's — and the cache
+   serves the repeats.  T10 and the bechamel rows time the *cost* of
+   analysis, so they keep calling the raw entry points. *)
 let memo = Core.Memo.create ~capacity:512 ()
-let telemetry = Engine.Telemetry.create ()
 
 let rule width = print_endline (String.make width '-')
 
@@ -114,7 +113,7 @@ let t1 () =
   rule 56;
   List.iter
     (fun (b : B.t) ->
-      let a = Core.Memo.wcet memo ~annot:b.B.annot ~telemetry platform b.B.program in
+      let a = Core.Memo.wcet memo ~annot:b.B.annot platform b.B.program in
       let r = (Sim.Machine.run sim_cfg ~cores:[| Sim.Machine.task b.B.program |] ()).(0) in
       check_sound ~bound:a.Core.Wcet.wcet ~observed:r.Sim.Machine.cycles;
       printf "%-14s %8d %10d %10d %8.2f%s\n" b.B.name
@@ -268,7 +267,7 @@ let t4 () =
       Array.iter
         (fun (b : B.t) ->
           let wc slice =
-            (Core.Memo.wcet memo ~annot:b.B.annot ~telemetry
+            (Core.Memo.wcet memo ~annot:b.B.annot
                (base_platform slice core) b.B.program)
               .Core.Wcet.wcet
           in
@@ -588,7 +587,7 @@ let t11 () =
   List.iter
     (fun (b : B.t) ->
       let wc p =
-        (Core.Memo.wcet memo ~annot:b.B.annot ~telemetry p b.B.program)
+        (Core.Memo.wcet memo ~annot:b.B.annot p b.B.program)
           .Core.Wcet.wcet
       in
       let f = wc flat and c = wc clustered in
@@ -631,7 +630,7 @@ let t12 () =
   List.iter
     (fun (b : B.t) ->
       let conv_a =
-        Core.Memo.wcet memo ~annot:b.B.annot ~telemetry conventional b.B.program
+        Core.Memo.wcet memo ~annot:b.B.annot conventional b.B.program
       in
       let conv_r =
         (Sim.Machine.run
@@ -640,7 +639,7 @@ let t12 () =
            ~cores:[| Sim.Machine.task b.B.program |] ()).(0)
       in
       let mc_a =
-        Core.Memo.wcet memo ~annot:b.B.annot ~telemetry methodp b.B.program
+        Core.Memo.wcet memo ~annot:b.B.annot methodp b.B.program
       in
       let mc_r =
         (Sim.Machine.run
@@ -826,7 +825,7 @@ let f2 () =
           l2 = Core.Platform.Private_l2 slice;
         }
       in
-      let a = Core.Memo.wcet memo ~annot:b.B.annot ~telemetry platform b.B.program in
+      let a = Core.Memo.wcet memo ~annot:b.B.annot platform b.B.program in
       let infos =
         List.concat_map
           (fun (_, m) -> Cache.Multilevel.access_infos m)
@@ -911,12 +910,12 @@ let f3 () =
       in
       let analytic =
         let w =
-          (Core.Memo.wcet memo ~annot:b.B.annot ~telemetry analytic_platform
+          (Core.Memo.wcet memo ~annot:b.B.annot analytic_platform
              b.B.program)
             .Core.Wcet.wcet
         in
         let bc =
-          (Core.Memo.bcet memo ~annot:b.B.annot ~telemetry analytic_platform
+          (Core.Memo.bcet memo ~annot:b.B.annot analytic_platform
              b.B.program)
             .Core.Bcet.bcet
         in
@@ -1073,7 +1072,7 @@ let () =
       Printf.eprintf "unknown experiment; try --list\n";
       exit 1
     end;
-    let t0 = Engine.Telemetry.now_ns () in
+    let t0 = Monotonic_clock.now () in
     (* One pool job per experiment; each job collects its output in the
        worker's domain-local buffer and returns it, together with the
        result-cache traffic it generated. *)
@@ -1091,7 +1090,12 @@ let () =
               Buffer.contents (out ())))
         selected
     in
-    let outcomes = Engine.Pool.run ~workers jobs in
+    (* The phase table is read from this sink's metrics; nothing reads
+       its rings, so they hold one event each. *)
+    let sink = Obs.Sink.create ~track_capacity:1 () in
+    let outcomes =
+      Obs.with_sink sink (fun () -> Engine.Pool.run ~workers jobs)
+    in
     let job_failures = ref 0 in
     List.iter2
       (fun (id, _, _) outcome ->
@@ -1110,13 +1114,13 @@ let () =
       bechamel_suite ();
       Stdlib.print_string (Buffer.contents (out ()))
     end;
-    let wall_ns = Int64.sub (Engine.Telemetry.now_ns ()) t0 in
+    let wall_ns = Int64.sub (Monotonic_clock.now ()) t0 in
     Stdlib.Printf.printf "\n==== engine: %d workers, wall %.1f ms ====\n"
       workers
       (Int64.to_float wall_ns /. 1e6);
     Format.printf "result cache: %a@." Engine.Lru.pp_stats
       (Core.Memo.stats memo);
-    Stdlib.print_string (Engine.Telemetry.render telemetry);
+    Stdlib.print_string (Obs.Metrics.render (Obs.Sink.metrics sink));
     Stdlib.Printf.printf
       "\n==== soundness summary: %d checks, %d violations ====\n"
       (Atomic.get soundness_checks)

@@ -59,14 +59,20 @@ let write_file path contents =
       close_out oc
 
 (* [--trace FILE] / [--trace-csv FILE] support shared by batch and fuzz:
-   install a sink before the run, return the finisher that exports and
+   install [sink] (a fresh one when none is given but a trace is asked
+   for) before the run, return the finisher that exports and
    uninstalls.  The finisher is called before any [exit], not from a
    [Fun.protect] — [exit] does not unwind the stack. *)
-let start_trace ?(csv = None) json =
-  match (json, csv) with
-  | None, None -> fun () -> ()
-  | _ ->
-      let sink = Obs.Sink.create () in
+let start_trace ?(csv = None) ?sink json =
+  let sink =
+    match (sink, json, csv) with
+    | Some _, _, _ -> sink
+    | None, None, None -> None
+    | None, _, _ -> Some (Obs.Sink.create ())
+  in
+  match sink with
+  | None -> fun () -> ()
+  | Some sink ->
       Obs.set_sink (Some sink);
       fun () ->
         Obs.set_sink None;
@@ -482,7 +488,6 @@ let batch_cmd =
         (List.length sources) (List.length configs);
     let tasks = List.map (fun s -> (s, load s)) sources in
     let memo = Core.Memo.create ?capacity () in
-    let telemetry = Engine.Telemetry.create () in
     let points =
       (* repeat-major order so later rounds demonstrably hit the cache *)
       List.concat_map
@@ -503,31 +508,29 @@ let batch_cmd =
             (fun ctx ->
               Engine.Pool.check ctx;
               let h0, l0 = Core.Memo.local_stats () in
-              let t0 = Engine.Telemetry.now_ns () in
+              let t0 = Monotonic_clock.now () in
               (* one mode-invariant front end serves both bound sides;
                  lazy so a double cache hit never builds it *)
               let actx =
                 lazy (Core.Context.of_platform ~annot platform program)
               in
               let w =
-                Core.Memo.wcet memo ~annot ~telemetry
+                Core.Memo.wcet memo ~annot
                   ~compute:(fun () ->
-                    Core.Wcet.analyze_with ~telemetry ~ctx:(Lazy.force actx)
-                      platform)
+                    Core.Wcet.analyze_with ~ctx:(Lazy.force actx) platform)
                   platform program
               in
               let b =
                 match
-                  Core.Memo.bcet memo ~annot ~telemetry
+                  Core.Memo.bcet memo ~annot
                     ~compute:(fun () ->
-                      Core.Bcet.analyze_with ~telemetry ~ctx:(Lazy.force actx)
-                        platform)
+                      Core.Bcet.analyze_with ~ctx:(Lazy.force actx) platform)
                     platform program
                 with
                 | b -> Some b.Core.Bcet.bcet
                 | exception Core.Wcet.Not_analysable _ -> None
               in
-              let job_ns = Int64.sub (Engine.Telemetry.now_ns ()) t0 in
+              let job_ns = Int64.sub (Monotonic_clock.now ()) t0 in
               let h1, l1 = Core.Memo.local_stats () in
               {
                 wcet = w.Core.Wcet.wcet;
@@ -557,13 +560,24 @@ let batch_cmd =
     (* Header up front, rows at the end: a run killed mid-way leaves a
        parseable (if row-less) CSV instead of an empty file. *)
     if csv then begin
-      print_string Engine.Telemetry.csv_header;
+      print_string Obs.Metrics.csv_header;
       flush stdout
     end;
-    let trace_finish = start_trace ~csv:trace_csv trace in
-    let t0 = Engine.Telemetry.now_ns () in
+    (* One sink serves the phase table and the trace.  The phase totals
+       live in its metrics, so without a trace to write its rings need
+       hold nothing. *)
+    let sink =
+      if phases || csv then
+        Some
+          (if trace = None && trace_csv = None then
+             Obs.Sink.create ~track_capacity:1 ()
+           else Obs.Sink.create ())
+      else None
+    in
+    let trace_finish = start_trace ~csv:trace_csv ?sink trace in
+    let t0 = Monotonic_clock.now () in
     let outcomes = Engine.Pool.run ~workers ?timeout_ns jobs in
-    let wall_ns = Int64.sub (Engine.Telemetry.now_ns ()) t0 in
+    let wall_ns = Int64.sub (Monotonic_clock.now ()) t0 in
     Printf.printf "%-18s %-6s %3s %10s %10s %9s %6s\n" "source" "config" "rep"
       "wcet" "bcet" "ms" "cache";
     let failures = ref 0 in
@@ -610,8 +624,12 @@ let batch_cmd =
           | _ -> ())
         points outcomes
     end;
-    if phases then print_string (Engine.Telemetry.render telemetry);
-    if csv then print_string (Engine.Telemetry.csv_rows telemetry);
+    Option.iter
+      (fun sink ->
+        let m = Obs.Sink.metrics sink in
+        if phases then print_string (Obs.Metrics.render m);
+        if csv then print_string (Obs.Metrics.csv_rows m))
+      sink;
     flush stdout;
     trace_finish ();
     if !failures > 0 then exit 1
@@ -659,10 +677,13 @@ let batch_cmd =
   let phases =
     Arg.(
       value & flag
-      & info [ "phases" ] ~doc:"Print the per-phase telemetry breakdown.")
+      & info [ "phases" ]
+          ~doc:"Print the per-phase times and the analysis counters.")
   in
   let csv =
-    Arg.(value & flag & info [ "csv" ] ~doc:"Print telemetry as CSV rows.")
+    Arg.(
+      value & flag
+      & info [ "csv" ] ~doc:"Print the phase times and counters as CSV rows.")
   in
   let attrib =
     Arg.(
@@ -744,7 +765,7 @@ let fuzz_cmd =
       flush stdout
     end;
     let trace_finish = start_trace trace in
-    let t0 = Engine.Telemetry.now_ns () in
+    let t0 = Monotonic_clock.now () in
     let c =
       match
         Fuzz.Oracle.run_campaign ~modes ~cores ?workers ?timeout_ns ~memo
@@ -753,7 +774,7 @@ let fuzz_cmd =
       | c -> c
       | exception Invalid_argument msg -> die "%s" msg
     in
-    let wall_ns = Int64.sub (Engine.Telemetry.now_ns ()) t0 in
+    let wall_ns = Int64.sub (Monotonic_clock.now ()) t0 in
     let r = c.Fuzz.Oracle.report in
     if csv then print_string (Fuzz.Oracle.csv_rows r)
     else begin

@@ -99,11 +99,14 @@ let entry_acs config entry kind =
 
 (* Per-domain monotone sweep counter shared by every cache fixpoint in
    this library (must/may/persistence here, the L2 fixpoints in
-   Multilevel): telemetry reads it before and after the cache phase and
-   charges the difference. *)
+   Multilevel), mirrored into the ambient sink's [cache.fixpoint.iters]
+   counter (one atomic load without a sink). *)
 let fixpoint_iters_key = Domain.DLS.new_key (fun () -> ref 0)
 let fixpoint_iterations () = !(Domain.DLS.get fixpoint_iters_key)
-let count_fixpoint_iteration () = incr (Domain.DLS.get fixpoint_iters_key)
+
+let count_fixpoint_iteration () =
+  incr (Domain.DLS.get fixpoint_iters_key);
+  Obs.add "cache.fixpoint.iters" 1
 
 let fixpoint_name level kind =
   Printf.sprintf "cache.%s.%s" level

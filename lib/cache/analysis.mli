@@ -79,8 +79,9 @@ val transfer : Acs.t -> access list -> had_call:bool -> Acs.t
 val fixpoint_iterations : unit -> int
 (** Monotone count of abstract-interpretation sweeps (one per pass over
     the CFG of any must/may/persistence/L2 fixpoint) performed *by the
-    calling domain*.  Read before and after an analysis and subtract for
-    telemetry; per-domain storage keeps parallel analyses race-free. *)
+    calling domain*.  Read before and after an analysis and subtract;
+    per-domain storage keeps parallel analyses race-free.  Each sweep
+    also bumps the ambient sink's [cache.fixpoint.iters] counter. *)
 
 val count_fixpoint_iteration : unit -> unit
 (** Exposed for {!Multilevel}'s L2 fixpoints; not for external use. *)

@@ -30,7 +30,6 @@ type t = {
 }
 
 val analyze_with :
-  ?telemetry:Engine.Telemetry.t ->
   ?solver:[ `Sparse | `Reference ] ->
   ctx:Context.t ->
   Platform.t ->
@@ -44,14 +43,12 @@ val analyze_with :
 
 val analyze :
   ?annot:Dataflow.Annot.t ->
-  ?telemetry:Engine.Telemetry.t ->
   ?solver:[ `Sparse | `Reference ] ->
   Platform.t ->
   Isa.Program.t ->
   t
 (** @raise Wcet.Not_analysable on the same conditions as {!Wcet.analyze}
-    (the flow facts are shared).  [telemetry] and [solver] as in
-    {!Wcet.analyze}. *)
+    (the flow facts are shared).  [solver] as in {!Wcet.analyze}. *)
 
 val analytic_quotient : bcet:int -> wcet:int -> float
 (** [bcet / wcet], clamped to [0, 1]. *)

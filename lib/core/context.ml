@@ -15,6 +15,23 @@ exception Not_analysable of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Not_analysable s)) fmt
 
+(* Infeasible flow facts and a bound past the native int range are
+   properties of the input; the LP arithmetic is checked, so both leave
+   the back ends typed. *)
+let ipet_boundary ~proc f =
+  try f () with
+  | Ipet.Flow_infeasible msg -> fail "%s: %s" proc msg
+  | Lp.Q.Overflow ->
+      fail "bound_overflow: %s: the IPET bound exceeds the 63-bit integer range"
+        proc
+
+let checked_sum ~proc xs =
+  ipet_boundary ~proc (fun () ->
+      Lp.Q.to_int_exn
+        (List.fold_left
+           (fun acc x -> Lp.Q.add acc (Lp.Q.of_int x))
+           Lp.Q.zero xs))
+
 (* L2 accesses of a block: instruction fetches interleaved with data
    accesses, in program order, with targets in L2 geometry.  Platforms
    with a method cache route no fetches through the L2.  The data
@@ -159,23 +176,10 @@ let multilevel t (p : proc) ~config ?bypass_key
           Hashtbl.add t.multilevel_memo k m;
           m)
 
-let build_uninstrumented ?(annot = Dataflow.Annot.empty) ?telemetry ~l1i ~l1d
+let build_uninstrumented ?(annot = Dataflow.Annot.empty) ~l1i ~l1d
     ?method_cache program =
-  let span name f =
-    match telemetry with
-    | None -> Obs.span ~cat:"phase" name f
-    | Some t -> Engine.Telemetry.span t name f
-  in
-  let counted name current f =
-    match telemetry with
-    | None -> f ()
-    | Some t ->
-        let before = current () in
-        let finally () = Engine.Telemetry.add t name (current () - before) in
-        Fun.protect ~finally f
-  in
   let callgraph =
-    span "cfg-build" (fun () ->
+    Obs.span ~cat:"phase" "cfg-build" (fun () ->
         try Cfg.Callgraph.build program with
         | Cfg.Callgraph.Recursive cycle ->
             fail "recursive call cycle: %s" (String.concat " -> " cycle)
@@ -183,18 +187,21 @@ let build_uninstrumented ?(annot = Dataflow.Annot.empty) ?telemetry ~l1i ~l1d
   in
   let root = callgraph.Cfg.Callgraph.root in
   let clobbers =
-    span "cfg-build" (fun () -> Dataflow.Clobbers.compute callgraph)
+    Obs.span ~cat:"phase" "cfg-build" (fun () ->
+        Dataflow.Clobbers.compute callgraph)
   in
   let call_clobbers = Dataflow.Clobbers.clobbered clobbers in
   let mc_analysis =
-    span "cache-analysis" (fun () ->
-        Option.map
-          (fun mc -> (mc, Cache.Method_cache.analyze callgraph mc))
-          method_cache)
+    Option.map
+      (fun mc ->
+        ( mc,
+          Obs.span ~cat:"phase" "cache-analysis" (fun () ->
+              Cache.Method_cache.analyze callgraph mc) ))
+      method_cache
   in
   let build_proc (name, g) =
     let dom, loops =
-      span "cfg-loops" (fun () ->
+      Obs.span ~cat:"phase" "cfg-loops" (fun () ->
           let dom = Cfg.Dominators.compute g in
           let loops =
             try Cfg.Loops.analyze g dom
@@ -203,12 +210,11 @@ let build_uninstrumented ?(annot = Dataflow.Annot.empty) ?telemetry ~l1i ~l1d
           (dom, loops))
     in
     let va =
-      span "value-analysis" (fun () ->
-          counted "worklist-pops" Dataflow.Worklist.pops (fun () ->
-              Dataflow.Value_analysis.analyze ~call_clobbers g))
+      Obs.span ~cat:"phase" "value-analysis" (fun () ->
+          Dataflow.Value_analysis.analyze ~call_clobbers g)
     in
     let loop_bounds =
-      span "loop-bounds" (fun () ->
+      Obs.span ~cat:"phase" "loop-bounds" (fun () ->
           try Dataflow.Loop_bounds.infer ~call_clobbers g dom loops va annot
           with Dataflow.Loop_bounds.Unbounded msg -> fail "%s" msg)
     in
@@ -216,23 +222,19 @@ let build_uninstrumented ?(annot = Dataflow.Annot.empty) ?telemetry ~l1i ~l1d
       if name = root then Cache.Analysis.Cold else Cache.Analysis.Unknown_entry
     in
     let l1i_a, l1d_a =
-      span "cache-analysis" (fun () ->
-          counted "worklist-pops" Dataflow.Worklist.pops @@ fun () ->
-          counted "cache-transfers" Dataflow.Worklist.transfers @@ fun () ->
-          counted "cache-fixpoint-iters" Cache.Analysis.fixpoint_iterations
-            (fun () ->
-              let l1i_a =
-                if mc_analysis <> None then None
-                else
-                  Some
-                    (Cache.Analysis.analyze l1i g ~entry
-                       ~accesses:(Cache.Analysis.instruction_accesses l1i g))
-              in
-              let l1d_a =
-                Cache.Analysis.analyze l1d g ~entry
-                  ~accesses:(Cache.Analysis.data_accesses l1d g va)
-              in
-              (l1i_a, l1d_a)))
+      Obs.span ~cat:"phase" "cache-analysis" (fun () ->
+          let l1i_a =
+            if mc_analysis <> None then None
+            else
+              Some
+                (Cache.Analysis.analyze l1i g ~entry
+                   ~accesses:(Cache.Analysis.instruction_accesses l1i g))
+          in
+          let l1d_a =
+            Cache.Analysis.analyze l1d g ~entry
+              ~accesses:(Cache.Analysis.data_accesses l1d g va)
+          in
+          (l1i_a, l1d_a))
     in
     let mutually_exclusive =
       List.filter_map
@@ -288,15 +290,14 @@ let build_uninstrumented ?(annot = Dataflow.Annot.empty) ?telemetry ~l1i ~l1d
     multilevel_memo = Hashtbl.create 8;
   }
 
-let build ?annot ?telemetry ~l1i ~l1d ?method_cache program =
+let build ?annot ~l1i ~l1d ?method_cache program =
   Obs.span ~cat:"ctx"
     ~args:[ ("program", Obs.Event.Str program.Isa.Program.name) ]
     "ctx.build"
-    (fun () ->
-      build_uninstrumented ?annot ?telemetry ~l1i ~l1d ?method_cache program)
+    (fun () -> build_uninstrumented ?annot ~l1i ~l1d ?method_cache program)
 
-let of_platform ?annot ?telemetry (platform : Platform.t) program =
-  build ?annot ?telemetry ~l1i:platform.Platform.l1i
+let of_platform ?annot (platform : Platform.t) program =
+  build ?annot ~l1i:platform.Platform.l1i
     ~l1d:platform.Platform.l1d
     ?method_cache:platform.Platform.method_cache program
 

@@ -22,6 +22,15 @@ exception Not_analysable of string
     irreducible loop, missing loop bound...).  {!Wcet.Not_analysable}
     is the same exception (rebound), so existing handlers catch both. *)
 
+val ipet_boundary : proc:string -> (unit -> 'a) -> 'a
+(** Run an IPET solve of procedure [proc] (forcing its prepared system
+    included), mapping {!Ipet.Flow_infeasible} to [Not_analysable] and
+    {!Lp.Q.Overflow} to [Not_analysable "bound_overflow: ..."]. *)
+
+val checked_sum : proc:string -> int list -> int
+(** The exact sum, or [Not_analysable "bound_overflow: ..."] when it
+    leaves the native int range. *)
+
 type proc = {
   name : string;
   graph : Cfg.Graph.t;
@@ -66,7 +75,6 @@ type t = {
 
 val build :
   ?annot:Dataflow.Annot.t ->
-  ?telemetry:Engine.Telemetry.t ->
   l1i:Cache.Config.t ->
   l1d:Cache.Config.t ->
   ?method_cache:Cache.Method_cache.config ->
@@ -80,7 +88,6 @@ val build :
 
 val of_platform :
   ?annot:Dataflow.Annot.t ->
-  ?telemetry:Engine.Telemetry.t ->
   Platform.t ->
   Isa.Program.t ->
   t

@@ -69,7 +69,7 @@ let lookup t key =
       r
   | None -> None
 
-let wcet t ?(annot = Dataflow.Annot.empty) ?salt ?telemetry ?compute platform
+let wcet t ?(annot = Dataflow.Annot.empty) ?salt ?compute platform
     program =
   (* [compute] overrides the miss path (e.g. a context-based back end);
      its result must be bit-identical to the fresh analysis — the memo
@@ -77,7 +77,7 @@ let wcet t ?(annot = Dataflow.Annot.empty) ?salt ?telemetry ?compute platform
   let analyze () =
     match compute with
     | Some f -> f ()
-    | None -> Wcet.analyze ~annot ?telemetry platform program
+    | None -> Wcet.analyze ~annot platform program
   in
   match key ~kind:"wcet" ~annot ~salt platform program with
   | None -> analyze ()
@@ -126,28 +126,28 @@ let encoded_of t ~kind ~encode ~analyze ~pack ~unpack key =
                   blob
               | None -> compute_and_store ())))
 
-let wcet_encoded t ~encode ?(annot = Dataflow.Annot.empty) ?salt ?telemetry
+let wcet_encoded t ~encode ?(annot = Dataflow.Annot.empty) ?salt
     platform program =
   encoded_of t ~kind:"wcet" ~encode
-    ~analyze:(fun () -> Wcet.analyze ~annot ?telemetry platform program)
+    ~analyze:(fun () -> Wcet.analyze ~annot platform program)
     ~pack:(fun r -> Wcet_r r)
     ~unpack:(function Wcet_r r -> Some r | Bcet_r _ -> None)
     (key ~kind:"wcet" ~annot ~salt platform program)
 
-let bcet_encoded t ~encode ?(annot = Dataflow.Annot.empty) ?salt ?telemetry
+let bcet_encoded t ~encode ?(annot = Dataflow.Annot.empty) ?salt
     platform program =
   encoded_of t ~kind:"bcet" ~encode
-    ~analyze:(fun () -> Bcet.analyze ~annot ?telemetry platform program)
+    ~analyze:(fun () -> Bcet.analyze ~annot platform program)
     ~pack:(fun r -> Bcet_r r)
     ~unpack:(function Bcet_r r -> Some r | Wcet_r _ -> None)
     (key ~kind:"bcet" ~annot ~salt platform program)
 
-let bcet t ?(annot = Dataflow.Annot.empty) ?salt ?telemetry ?compute platform
+let bcet t ?(annot = Dataflow.Annot.empty) ?salt ?compute platform
     program =
   let analyze () =
     match compute with
     | Some f -> f ()
-    | None -> Bcet.analyze ~annot ?telemetry platform program
+    | None -> Bcet.analyze ~annot platform program
   in
   match key ~kind:"bcet" ~annot ~salt platform program with
   | None -> analyze ()

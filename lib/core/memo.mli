@@ -69,7 +69,6 @@ val wcet_encoded :
   encode:(Wcet.t -> string) ->
   ?annot:Dataflow.Annot.t ->
   ?salt:string ->
-  ?telemetry:Engine.Telemetry.t ->
   Platform.t ->
   Isa.Program.t ->
   string
@@ -83,7 +82,6 @@ val bcet_encoded :
   encode:(Bcet.t -> string) ->
   ?annot:Dataflow.Annot.t ->
   ?salt:string ->
-  ?telemetry:Engine.Telemetry.t ->
   Platform.t ->
   Isa.Program.t ->
   string
@@ -92,7 +90,6 @@ val wcet :
   t ->
   ?annot:Dataflow.Annot.t ->
   ?salt:string ->
-  ?telemetry:Engine.Telemetry.t ->
   ?compute:(unit -> Wcet.t) ->
   Platform.t ->
   Isa.Program.t ->
@@ -111,7 +108,6 @@ val bcet :
   t ->
   ?annot:Dataflow.Annot.t ->
   ?salt:string ->
-  ?telemetry:Engine.Telemetry.t ->
   ?compute:(unit -> Bcet.t) ->
   Platform.t ->
   Isa.Program.t ->

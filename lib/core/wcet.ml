@@ -106,26 +106,10 @@ let view_of_multilevel (platform : Platform.t) m =
    and the IPET re-solve (via the context's prepared constraint system,
    so modes after the first pay only phase-2 pivots).  All the
    mode-invariant front-end work comes from [ctx]. *)
-let analyze_with ?telemetry ?(solver = `Sparse) ?bypass_key ?refine
+let analyze_with ?(solver = `Sparse) ?bypass_key ?refine
     ?(measure_cold = false) ~ctx
     platform =
   Context.check_compatible ctx platform;
-  (* Telemetry is optional and must cost nothing when absent: [span]
-     accumulates a phase's wall-clock time, [counted] charges the delta of
-     a per-domain monotone counter (fixpoint sweeps, simplex pivots). *)
-  let span name f =
-    match telemetry with
-    | None -> Obs.span ~cat:"phase" name f
-    | Some t -> Engine.Telemetry.span t name f
-  in
-  let counted name current f =
-    match telemetry with
-    | None -> f ()
-    | Some t ->
-        let before = current () in
-        let finally () = Engine.Telemetry.add t name (current () - before) in
-        Fun.protect ~finally f
-  in
   let bus_wait =
     try Platform.bus_wait platform with Failure msg -> fail "%s" msg
   in
@@ -164,27 +148,20 @@ let analyze_with ?telemetry ?(solver = `Sparse) ?bypass_key ?refine
     let l1d = p.Context.l1d in
     let loop_bounds = p.Context.loop_bounds in
     let l2_view =
-      span "cache-analysis" (fun () ->
-          counted "worklist-pops" Dataflow.Worklist.pops @@ fun () ->
-          counted "cache-transfers" Dataflow.Worklist.transfers @@ fun () ->
-          counted "cache-fixpoint-iters" Cache.Analysis.fixpoint_iterations
-            (fun () ->
-              match platform.Platform.l2 with
-              | Platform.No_l2 -> no_l2_view
-              | Platform.Private_l2 config | Platform.Locked_l2 { config; _ }
-                ->
-                  (* The fixpoint sees no bypass in these modes, so the
-                     constant key is always sound and lets every
-                     bypass-free mode share one entry. *)
-                  let m =
-                    Context.multilevel ctx p ~config ~bypass_key:"nobypass" ()
-                  in
-                  view_of_multilevel platform m
-              | Platform.Shared_l2 { config; bypass; _ } ->
-                  let m =
-                    Context.multilevel ctx p ~config ?bypass_key ~bypass ()
-                  in
-                  view_of_multilevel platform m))
+      Obs.span ~cat:"phase" "cache-analysis" (fun () ->
+          match platform.Platform.l2 with
+          | Platform.No_l2 -> no_l2_view
+          | Platform.Private_l2 config | Platform.Locked_l2 { config; _ } ->
+              (* The fixpoint sees no bypass in these modes, so the
+                 constant key is always sound and lets every bypass-free
+                 mode share one entry. *)
+              let m =
+                Context.multilevel ctx p ~config ~bypass_key:"nobypass" ()
+              in
+              view_of_multilevel platform m
+          | Platform.Shared_l2 { config; bypass; _ } ->
+              let m = Context.multilevel ctx p ~config ?bypass_key ~bypass () in
+              view_of_multilevel platform m)
     in
     (match l2_view.multilevel with
     | Some m -> multilevels := (name, m) :: !multilevels
@@ -262,7 +239,7 @@ let analyze_with ?telemetry ?(solver = `Sparse) ?bypass_key ?refine
           }
     in
     let own_vecs, full_vecs, block_costs =
-      span "block-costs" @@ fun () ->
+      Obs.span ~cat:"phase" "block-costs" @@ fun () ->
       (* Own per-block cost vectors: everything the block pays per
          execution except callee WCETs (those are redistributed to the
          callee's own blocks by the attribution layer). *)
@@ -322,7 +299,7 @@ let analyze_with ?telemetry ?(solver = `Sparse) ?bypass_key ?refine
     (* Persistence penalties: one worst-case miss per persistent access
        point per procedure execution, at both levels. *)
     let ps_vec =
-      span "block-costs" @@ fun () ->
+      Obs.span ~cat:"phase" "block-costs" @@ fun () ->
       let of_kind analysis kind =
         List.fold_left
           (fun acc ((a : Cache.Analysis.access), _) ->
@@ -350,31 +327,25 @@ let analyze_with ?telemetry ?(solver = `Sparse) ?bypass_key ?refine
     in
     let ps_penalty = Vec.total ps_vec in
     let solve_plain costs =
-      span "ipet-solve" (fun () ->
-          counted "simplex-pivots" Lp.Simplex.pivots @@ fun () ->
-          counted "ilp-nodes" Lp.Ilp.nodes_explored @@ fun () ->
-          try
-            Ipet.solve_prepared
-              (Lazy.force p.Context.ipet_wcet)
-              ~block_cost:(fun id -> costs.(id))
-              ~solver ()
-          with Ipet.Flow_infeasible msg -> fail "%s: %s" name msg)
+      Obs.span ~cat:"phase" "ipet-solve" (fun () ->
+          Context.ipet_boundary ~proc:name (fun () ->
+              Ipet.solve_prepared
+                (Lazy.force p.Context.ipet_wcet)
+                ~block_cost:(fun id -> costs.(id))
+                ~solver ()))
     in
     let ipet, refine_stats =
       match refine with
       | None -> (solve_plain block_costs, None)
       | Some config ->
           let r, stats =
-            span "ipet-solve" (fun () ->
-                counted "simplex-pivots" Lp.Simplex.pivots @@ fun () ->
-                counted "ilp-nodes" Lp.Ilp.nodes_explored @@ fun () ->
-                try
-                  Ipet.refine_prepared
-                    (Lazy.force p.Context.ipet_wcet)
-                    ~block_cost:(fun id -> block_costs.(id))
-                    ~candidates:(Lazy.force p.Context.refine_candidates)
-                    ~config ~measure_cold ()
-                with Ipet.Flow_infeasible msg -> fail "%s: %s" name msg)
+            Obs.span ~cat:"phase" "ipet-solve" (fun () ->
+                Context.ipet_boundary ~proc:name (fun () ->
+                    Ipet.refine_prepared
+                      (Lazy.force p.Context.ipet_wcet)
+                      ~block_cost:(fun id -> block_costs.(id))
+                      ~candidates:(Lazy.force p.Context.refine_candidates)
+                      ~config ~measure_cold ()))
           in
           (r, Some stats)
     in
@@ -404,7 +375,9 @@ let analyze_with ?telemetry ?(solver = `Sparse) ?bypass_key ?refine
         full_vecs;
       !acc
     in
-    let wcet = ipet.Ipet.wcet + ps_penalty + mc_penalty in
+    let wcet =
+      Context.checked_sum ~proc:name [ ipet.Ipet.wcet; ps_penalty; mc_penalty ]
+    in
     assert (Vec.total wcet_vec = wcet);
     (match refine with
     | None -> ()
@@ -412,7 +385,10 @@ let analyze_with ?telemetry ?(solver = `Sparse) ?bypass_key ?refine
         let full_u = full_vecs_unrefined () in
         let costs_u = Array.map Vec.total full_u in
         let ipet_u = solve_plain costs_u in
-        let wcet_u = ipet_u.Ipet.wcet + ps_penalty + mc_penalty in
+        let wcet_u =
+          Context.checked_sum ~proc:name
+            [ ipet_u.Ipet.wcet; ps_penalty; mc_penalty ]
+        in
         let vec_u = ref overhead_vec in
         Array.iteri
           (fun id v ->
@@ -436,9 +412,7 @@ let analyze_with ?telemetry ?(solver = `Sparse) ?bypass_key ?refine
         refine = refine_stats;
       }
     in
-    (match telemetry with
-    | Some t -> Engine.Telemetry.add t "procedures" 1
-    | None -> ());
+    Obs.add "wcet.procedures" 1;
     Hashtbl.replace results name result;
     (name, result)
   in
@@ -459,10 +433,10 @@ let analyze_with ?telemetry ?(solver = `Sparse) ?bypass_key ?refine
 (* Fresh-per-call analysis: build a context and run the back end over it
    once.  This is the differential oracle's baseline — sharing one
    context across modes must be bit-identical to this. *)
-let analyze ?(annot = Dataflow.Annot.empty) ?telemetry ?(solver = `Sparse)
-    ?refine ?measure_cold platform program =
-  let ctx = Context.of_platform ~annot ?telemetry platform program in
-  analyze_with ?telemetry ~solver ?refine ?measure_cold ~ctx platform
+let analyze ?(annot = Dataflow.Annot.empty) ?(solver = `Sparse) ?refine
+    ?measure_cold platform program =
+  let ctx = Context.of_platform ~annot platform program in
+  analyze_with ~solver ?refine ?measure_cold ~ctx platform
 
 let footprint t =
   match Platform.l2_config t.platform with

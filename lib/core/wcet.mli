@@ -59,7 +59,6 @@ exception Not_analysable of string
     a context are the same exception. *)
 
 val analyze_with :
-  ?telemetry:Engine.Telemetry.t ->
   ?solver:[ `Sparse | `Reference ] ->
   ?bypass_key:string ->
   ?refine:Refine.config ->
@@ -86,7 +85,6 @@ val analyze_with :
 
 val analyze :
   ?annot:Dataflow.Annot.t ->
-  ?telemetry:Engine.Telemetry.t ->
   ?solver:[ `Sparse | `Reference ] ->
   ?refine:Refine.config ->
   ?measure_cold:bool ->
@@ -111,13 +109,14 @@ val analyze :
     instrumentation, not semantics, so it deliberately does not
     participate in any memo salt.
 
-    [telemetry] accumulates per-phase wall-clock time ([cfg-build],
+    Each stage runs in a [cat:"phase"] {!Obs.span} ([cfg-build],
     [cfg-loops], [value-analysis], [loop-bounds], [cache-analysis],
-    [block-costs], [ipet-solve]) and counters ([cache-fixpoint-iters],
-    [simplex-pivots], [ilp-nodes], [worklist-pops], [cache-transfers],
-    [procedures]); passing the same accumulator to many analyses
-    aggregates across them, including from concurrent worker domains.
-    [None] (the default) costs nothing.
+    [block-costs], [ipet-solve]), so with a sink installed its
+    {!Obs.Metrics.phases} hold the per-phase totals, next to the
+    counters [lp.simplex.pivots], [lp.ilp.nodes],
+    [dataflow.worklist.pops], [dataflow.worklist.transfers],
+    [cache.fixpoint.iters] and [wcet.procedures].  Without a sink each
+    point costs one atomic load.
 
     [solver] selects the LP/ILP engine for the IPET stage, see
     {!Ipet.solve}; results are identical, only the measured work

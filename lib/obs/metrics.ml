@@ -90,3 +90,75 @@ let hist t name =
       match Hashtbl.find_opt t.cells (name, Hist) with
       | Some (C_hist h) -> Some (Histogram.snapshot h)
       | _ -> None)
+
+(* Phase totals: {!Obs.span} records each [cat:"phase"] span's duration
+   as one observation of the histogram [phase.<name>]; the prefix keeps
+   phases apart from the value histograms (pivots per solve, rounds per
+   fixpoint) in the same registry. *)
+let phase_prefix = "phase."
+let observe_phase t name ns = observe t (phase_prefix ^ name) ns
+
+type phase = { phase : string; total_ns : int; calls : int }
+
+let phase_of = function
+  | Hist_v (name, s) when String.starts_with ~prefix:phase_prefix name ->
+      let n = String.length phase_prefix in
+      Some
+        {
+          phase = String.sub name n (String.length name - n);
+          total_ns = s.Histogram.s_sum;
+          calls = s.Histogram.s_count;
+        }
+  | Hist_v _ | Counter_v _ | Gauge_v _ -> None
+
+let counter_of = function
+  | Counter_v (name, v) -> Some (name, v)
+  | Hist_v _ | Gauge_v _ -> None
+
+let phases t = List.filter_map phase_of (snapshot t)
+
+let render t =
+  let items = snapshot t in
+  let ps = List.filter_map phase_of items in
+  let cs = List.filter_map counter_of items in
+  let b = Buffer.create 256 in
+  if ps <> [] then begin
+    let total = List.fold_left (fun acc p -> acc + p.total_ns) 0 ps in
+    let ms ns = float_of_int ns /. 1e6 in
+    Buffer.add_string b
+      (Printf.sprintf "%-28s %12s %7s %8s\n" "phase" "ms" "share" "calls");
+    List.iter
+      (fun p ->
+        let share =
+          if total > 0 then
+            100. *. float_of_int p.total_ns /. float_of_int total
+          else 0.
+        in
+        Buffer.add_string b
+          (Printf.sprintf "%-28s %12.3f %6.1f%% %8d\n" p.phase (ms p.total_ns)
+             share p.calls))
+      ps;
+    Buffer.add_string b
+      (Printf.sprintf "%-28s %12.3f %6.1f%%\n" "total" (ms total) 100.)
+  end;
+  List.iter
+    (fun (name, v) ->
+      Buffer.add_string b (Printf.sprintf "%-28s %12d\n" name v))
+    cs;
+  Buffer.contents b
+
+let csv_header = "kind,name,value,calls\n"
+
+let csv_rows t =
+  let items = snapshot t in
+  let b = Buffer.create 256 in
+  List.iter
+    (fun p ->
+      Buffer.add_string b
+        (Printf.sprintf "phase,%s,%d,%d\n" p.phase p.total_ns p.calls))
+    (List.filter_map phase_of items);
+  List.iter
+    (fun (name, v) ->
+      Buffer.add_string b (Printf.sprintf "counter,%s,%d,\n" name v))
+    (List.filter_map counter_of items);
+  Buffer.contents b

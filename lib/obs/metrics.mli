@@ -37,3 +37,33 @@ val counter : t -> string -> int
 
 val gauge : t -> string -> int
 val hist : t -> string -> Histogram.snapshot option
+
+(** {1 Phase totals}
+
+    {!Obs.span} records every [cat:"phase"] span (cfg-build,
+    value-analysis, cache-analysis, ipet-solve, ...) on the installed
+    sink as one observation of the histogram ["phase." ^ name], so a
+    registry is also the per-phase time ledger of the analyses run
+    under it. *)
+
+val observe_phase : t -> string -> int -> unit
+(** [observe_phase t name ns] records one call of phase [name] lasting
+    [ns] nanoseconds. *)
+
+type phase = { phase : string; total_ns : int; calls : int }
+
+val phases : t -> phase list
+(** In first-recorded order, names without the ["phase."] prefix. *)
+
+val render : t -> string
+(** Human-readable summary: per-phase time/share/calls, then every
+    counter.  Empty string when neither was recorded. *)
+
+val csv_header : string
+(** The CSV header line (with trailing newline).  Exposed separately so
+    streaming consumers can emit it up front — a run killed mid-way then
+    still leaves a parseable file. *)
+
+val csv_rows : t -> string
+(** The data rows only: [phase,<name>,<ns>,<calls>] per phase, then
+    [counter,<name>,<value>,] per counter. *)

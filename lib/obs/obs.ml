@@ -61,42 +61,47 @@ let now_ns () =
 (* The no-sink path stays exactly one atomic load; the request-trace
    hook lives on the sink-present branch only.  With a sink but no
    active scope (every path outside a traced service job) the extra
-   cost is one domain-local read. *)
+   cost is one domain-local read.  The clock is read once per boundary
+   and the same timestamps feed the events and, for a [cat:"phase"]
+   span, the sink's phase histogram — so phase totals equal the span
+   sums recomputed from the tracks exactly, even after a ring wrapped. *)
+let close_span s tr scoped cat name t0 =
+  (match scoped with
+  | Reqtrace.Scoped _ -> Reqtrace.scoped_end ()
+  | Reqtrace.Inactive -> ());
+  let t1 = Sink.now s in
+  Sink.end_at tr ~ts:t1;
+  match cat with
+  | Some "phase" ->
+      Metrics.observe_phase (Sink.metrics s) name
+        (Int64.to_int (Int64.sub t1 t0))
+  | _ -> ()
+
 let span ?cat ?args name f =
   match Atomic.get sink_cell with
   | None -> f ()
   | Some s -> (
       let tr = track_for s in
-      match Reqtrace.scoped_begin ?cat ?args name with
-      | Reqtrace.Inactive -> (
-          Sink.begin_ s tr ?cat ?args name;
-          match f () with
-          | x ->
-              Sink.end_ s tr;
-              x
-          | exception e ->
-              Sink.end_ s tr;
-              raise e)
-      | Reqtrace.Scoped info -> (
-          (match info with
-          | Some (id, parent, trace_id) ->
-              let args =
-                ("trace", Event.Str trace_id)
-                :: ("span", Event.Int id)
-                :: ("parent", Event.Int parent)
-                :: Option.value ~default:[] args
-              in
-              Sink.begin_ s tr ?cat ~args name
-          | None -> Sink.begin_ s tr ?cat ?args name);
-          match f () with
-          | x ->
-              Reqtrace.scoped_end ();
-              Sink.end_ s tr;
-              x
-          | exception e ->
-              Reqtrace.scoped_end ();
-              Sink.end_ s tr;
-              raise e))
+      let scoped = Reqtrace.scoped_begin ?cat ?args name in
+      let args =
+        match scoped with
+        | Reqtrace.Scoped (Some (id, parent, trace_id)) ->
+            Some
+              (("trace", Event.Str trace_id)
+              :: ("span", Event.Int id)
+              :: ("parent", Event.Int parent)
+              :: Option.value ~default:[] args)
+        | Reqtrace.Scoped None | Reqtrace.Inactive -> args
+      in
+      let t0 = Sink.now s in
+      Sink.begin_at tr ~ts:t0 ?cat ?args name;
+      match f () with
+      | x ->
+          close_span s tr scoped cat name t0;
+          x
+      | exception e ->
+          close_span s tr scoped cat name t0;
+          raise e)
 
 let instant ?cat ?args name =
   match Atomic.get sink_cell with

@@ -48,7 +48,10 @@ val span : ?cat:string -> ?args:(string * Event.value) list -> string -> (unit -
     is additionally recorded into the active request trace and the ring
     event tagged with [trace]/[span]/[parent] correlation args; without
     a sink the request-trace hook is never consulted, keeping the
-    disabled path at a single atomic load. *)
+    disabled path at a single atomic load.  A [~cat:"phase"] span also
+    records its duration into the sink's metrics
+    ({!Metrics.observe_phase}), from the same two clock reads as its
+    events, so phase totals equal the span sums of the tracks exactly. *)
 
 val instant : ?cat:string -> ?args:(string * Event.value) list -> string -> unit
 
@@ -57,10 +60,9 @@ val counter : ?cat:string -> ?args:(string * Event.value) list -> string -> unit
     current domain's track; each arg is one series value. *)
 
 val emit_begin : ts:int64 -> ?cat:string -> ?args:(string * Event.value) list -> string -> unit
-(** Low-level: record a [Begin] with an externally read timestamp.  Used
-    by callers that need the measured duration themselves (e.g. the
-    {!Engine.Telemetry} shim, whose aggregated totals must equal the
-    span-derived sums exactly). *)
+(** Low-level: record a [Begin] with an externally read timestamp, for
+    callers that drive their own (e.g. virtual) clock.  Unlike {!span} it
+    records no phase total. *)
 
 val emit_end : ts:int64 -> unit
 

@@ -237,6 +237,42 @@ let test_wcet_rejects_unbounded () =
   let a = Core.Wcet.analyze ~annot (Core.Platform.single_core ()) p in
   Alcotest.(check bool) "bounded via annotation" true (a.Core.Wcet.wcet > 0)
 
+(* Bounds past the 63-bit range: the checked LP arithmetic overflows,
+   and the analyses must report that as a typed [bound_overflow]
+   rejection, not let [Lp.Q.Overflow] escape. *)
+let huge_counter_src =
+  "main:\n  li r10, 4611686018427387000\nloop:\n  subi r10, r10, 1\n\
+  \  bne r10, r0, loop\n  halt\n"
+
+let nested_1e9_src =
+  "main:\n  li r10, 1000000000\nouter:\n  li r11, 1000000000\ninner:\n\
+  \  subi r11, r11, 1\n  bne r11, r0, inner\n  subi r10, r10, 1\n\
+  \  bne r10, r0, outer\n  halt\n"
+
+let expect_bound_overflow what f =
+  match f () with
+  | exception Core.Wcet.Not_analysable msg ->
+      Alcotest.(check bool)
+        (what ^ ": reason is bound_overflow")
+        true
+        (String.starts_with ~prefix:"bound_overflow" msg)
+  | _ -> Alcotest.failf "%s: expected Not_analysable" what
+
+let test_wcet_bound_overflow () =
+  let platform = Core.Platform.single_core () in
+  let huge = parse huge_counter_src and nested = parse nested_1e9_src in
+  expect_bound_overflow "huge counter wcet" (fun () ->
+      Core.Wcet.analyze platform huge);
+  expect_bound_overflow "huge counter bcet" (fun () ->
+      Core.Bcet.analyze platform huge);
+  expect_bound_overflow "huge counter refined wcet" (fun () ->
+      Core.Wcet.analyze ~refine:Refine.default platform huge);
+  expect_bound_overflow "nested 1e9 wcet" (fun () ->
+      Core.Wcet.analyze platform nested);
+  let l2 = Cache.Config.make ~sets:16 ~assoc:4 ~line_size:16 in
+  expect_bound_overflow "nested 1e9 wcet with L2" (fun () ->
+      Core.Wcet.analyze (Core.Platform.single_core ~l2 ()) nested)
+
 let test_wcet_monotone_in_bus_wait () =
   let p = parse sum_src in
   let l2 = Cache.Config.make ~sets:16 ~assoc:2 ~line_size:16 in
@@ -915,6 +951,8 @@ let () =
             test_wcet_rejects_recursion;
           Alcotest.test_case "rejects unbounded / accepts annotation" `Quick
             test_wcet_rejects_unbounded;
+          Alcotest.test_case "bound overflow is not analysable" `Quick
+            test_wcet_bound_overflow;
           Alcotest.test_case "monotone in bus wait" `Quick
             test_wcet_monotone_in_bus_wait;
           Alcotest.test_case "footprint" `Quick test_wcet_footprint;

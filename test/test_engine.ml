@@ -408,72 +408,78 @@ let test_parallel_memoized_equals_sequential_direct () =
 (* Telemetry                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Phase totals live in the installed sink's metrics: every
+   [cat:"phase"] span lands in a [phase.<name>] histogram, and the
+   counters the analyses already add to the sink replace the old
+   per-phase deltas. *)
+let traced_wcet ~annot platform program =
+  let sink = Obs.Sink.create () in
+  let r =
+    Obs.with_sink sink (fun () -> Core.Wcet.analyze ~annot platform program)
+  in
+  (sink, r)
+
 let test_telemetry_phases_and_counters () =
-  let t = Engine.Telemetry.create () in
   let b = B.crc ~n:8 in
   let platform = Core.Platform.single_core ~l2:l2_default () in
-  let _ = Core.Wcet.analyze ~annot:b.B.annot ~telemetry:t platform b.B.program in
-  let phase_names =
-    List.map (fun (p : Engine.Telemetry.phase) -> p.Engine.Telemetry.phase)
-      (Engine.Telemetry.phases t)
-  in
+  let sink, _ = traced_wcet ~annot:b.B.annot platform b.B.program in
+  let m = Obs.Sink.metrics sink in
+  let phases = Obs.Metrics.phases m in
+  let phase_names = List.map (fun (p : Obs.Metrics.phase) -> p.phase) phases in
   List.iter
     (fun expected ->
       Alcotest.(check bool) ("phase " ^ expected) true
         (List.mem expected phase_names))
     [ "cfg-build"; "value-analysis"; "cache-analysis"; "ipet-solve" ];
-  let counter name =
-    match List.assoc_opt name (Engine.Telemetry.counters t) with
-    | Some n -> n
-    | None -> 0
-  in
+  let counter = Obs.Metrics.counter m in
   Alcotest.(check bool) "simplex pivots counted" true
-    (counter "simplex-pivots" > 0);
+    (counter "lp.simplex.pivots" > 0);
   Alcotest.(check bool) "cache fixpoint iterations counted" true
-    (counter "cache-fixpoint-iters" > 0);
-  Alcotest.(check bool) "procedures counted" true (counter "procedures" > 0);
+    (counter "cache.fixpoint.iters" > 0);
+  Alcotest.(check bool) "procedures counted" true
+    (counter "wcet.procedures" > 0);
   Alcotest.(check bool) "time accumulated" true
-    (Engine.Telemetry.total_ns t > 0L);
-  Alcotest.(check bool) "render non-empty" true
-    (Engine.Telemetry.render t <> "");
-  (* CSV: header + one row per phase + one per counter. *)
+    (List.exists (fun (p : Obs.Metrics.phase) -> p.total_ns > 0) phases);
+  Alcotest.(check bool) "render non-empty" true (Obs.Metrics.render m <> "");
+  (* CSV: one row per phase + one per counter. *)
+  let counters =
+    List.filter
+      (function Obs.Metrics.Counter_v _ -> true | _ -> false)
+      (Obs.Metrics.snapshot m)
+  in
   let csv_lines =
-    String.split_on_char '\n' (String.trim (Engine.Telemetry.to_csv t))
+    String.split_on_char '\n' (String.trim (Obs.Metrics.csv_rows m))
   in
   Alcotest.(check int) "csv row count"
-    (1
-    + List.length (Engine.Telemetry.phases t)
-    + List.length (Engine.Telemetry.counters t))
+    (List.length phases + List.length counters)
     (List.length csv_lines)
 
 let test_telemetry_span_on_exception () =
-  let t = Engine.Telemetry.create () in
-  (try Engine.Telemetry.span t "fails" (fun () -> failwith "x")
+  let sink = Obs.Sink.create () in
+  (try
+     Obs.with_sink sink (fun () ->
+         Obs.span ~cat:"phase" "fails" (fun () -> failwith "x"))
    with Failure _ -> ());
-  match Engine.Telemetry.phases t with
-  | [ { Engine.Telemetry.phase = "fails"; calls = 1; _ } ] -> ()
+  match Obs.Metrics.phases (Obs.Sink.metrics sink) with
+  | [ { Obs.Metrics.phase = "fails"; calls = 1; _ } ] -> ()
   | _ -> Alcotest.fail "span must record the phase even when f raises"
 
 let test_telemetry_unmetered_analysis_unchanged () =
-  (* ?telemetry must be a pure observer. *)
+  (* An installed sink must be a pure observer. *)
   let b = B.assoc_stress ~ways:4 ~reps:12 in
   let platform = Core.Platform.single_core ~l2:l2_default () in
-  let t = Engine.Telemetry.create () in
-  check_wcet_equal "telemetry observer"
+  check_wcet_equal "sink observer"
     (Core.Wcet.analyze ~annot:b.B.annot platform b.B.program)
-    (Core.Wcet.analyze ~annot:b.B.annot ~telemetry:t platform b.B.program)
+    (snd (traced_wcet ~annot:b.B.annot platform b.B.program))
 
 let test_telemetry_totals_equal_span_sums () =
-  (* The shim reads each phase's clock once and feeds the same
-     timestamps to both the emitted Begin/End events and its aggregate,
-     so the reported totals must equal the span-derived sums exactly. *)
-  let sink = Obs.Sink.create () in
-  let t = Engine.Telemetry.create () in
+  (* [Obs.span] reads each phase's clock once per boundary and feeds the
+     same timestamps to the events and the phase histogram, so the
+     totals must equal the span sums recomputed from the tracks
+     exactly. *)
   let b = B.crc ~n:8 in
   let platform = Core.Platform.single_core ~l2:l2_default () in
-  Obs.with_sink sink (fun () ->
-      ignore
-        (Core.Wcet.analyze ~annot:b.B.annot ~telemetry:t platform b.B.program));
+  let sink, _ = traced_wcet ~annot:b.B.annot platform b.B.program in
   let sums = Hashtbl.create 16 in
   List.iter
     (fun tr ->
@@ -498,20 +504,17 @@ let test_telemetry_totals_equal_span_sums () =
           | Obs.Event.Instant _ | Obs.Event.Counter _ -> ())
         (Obs.Sink.events tr))
     (Obs.Sink.tracks sink);
-  let phases = Engine.Telemetry.phases t in
+  let phases = Obs.Metrics.phases (Obs.Sink.metrics sink) in
   Alcotest.(check bool) "phases recorded" true (phases <> []);
+  Alcotest.(check int) "every traced phase has a total" (Hashtbl.length sums)
+    (List.length phases);
   List.iter
-    (fun (p : Engine.Telemetry.phase) ->
-      match Hashtbl.find_opt sums p.Engine.Telemetry.phase with
-      | None ->
-          Alcotest.fail ("phase missing from trace: " ^ p.Engine.Telemetry.phase)
+    (fun (p : Obs.Metrics.phase) ->
+      match Hashtbl.find_opt sums p.phase with
+      | None -> Alcotest.fail ("phase missing from trace: " ^ p.phase)
       | Some (total, calls) ->
-          Alcotest.(check int)
-            (p.Engine.Telemetry.phase ^ " calls")
-            calls p.Engine.Telemetry.calls;
-          Alcotest.(check int64)
-            (p.Engine.Telemetry.phase ^ " total")
-            (Int64.of_int total) p.Engine.Telemetry.total_ns)
+          Alcotest.(check int) (p.phase ^ " calls") calls p.calls;
+          Alcotest.(check int) (p.phase ^ " total") total p.total_ns)
     phases
 
 (* ------------------------------------------------------------------ *)
@@ -573,7 +576,7 @@ let () =
             test_telemetry_span_on_exception;
           Alcotest.test_case "pure observer" `Quick
             test_telemetry_unmetered_analysis_unchanged;
-          Alcotest.test_case "shim totals equal span sums" `Quick
+          Alcotest.test_case "sink totals equal span sums" `Quick
             test_telemetry_totals_equal_span_sums;
         ] );
     ]

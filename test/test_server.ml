@@ -262,6 +262,72 @@ let test_inline_with_bounds () =
           Alcotest.(check int) "repeat serves the same bound" b1 b2;
           Client.close c)
 
+(* A loop bound whose WCET leaves the 63-bit range is a property of the
+   input: the reply is a typed not_analysable naming bound_overflow,
+   never internal. *)
+let overflow_programs =
+  [
+    ( "huge_counter",
+      "main:\n\
+      \  li r10, 4611686018427387000\n\
+       loop:\n\
+      \  subi r10, r10, 1\n\
+      \  bne r10, r0, loop\n\
+      \  halt\n",
+      [ ("solo", 1, "wcet"); ("joint", 2, "wcet"); ("solo", 1, "bcet") ] );
+    ( "nested_1e9",
+      "main:\n\
+      \  li r10, 1000000000\n\
+       outer:\n\
+      \  li r11, 1000000000\n\
+       inner:\n\
+      \  subi r11, r11, 1\n\
+      \  bne r11, r0, inner\n\
+      \  subi r10, r10, 1\n\
+      \  bne r10, r0, outer\n\
+      \  halt\n",
+      (* its best case (~2e18 cycles) still fits: BCET is a valid answer *)
+      [ ("solo", 1, "wcet"); ("joint", 2, "wcet") ] );
+  ]
+
+let test_bound_overflow_not_analysable () =
+  with_server (fun port ->
+      match Client.connect ~port () with
+      | Error msg -> Alcotest.fail msg
+      | Ok c ->
+          List.iter
+            (fun (name, asm, cases) ->
+              List.iter
+                (fun (mode, cores, kind) ->
+                  let req =
+                    Json.Obj
+                      [
+                        ("id", Json.Int 1);
+                        ("op", Json.Str "analyze");
+                        ("name", Json.Str name);
+                        ("asm", Json.Str asm);
+                        ("mode", Json.Str mode);
+                        ("cores", Json.Int cores);
+                        ("kind", Json.Str kind);
+                      ]
+                  in
+                  match Client.request c req with
+                  | Error msg -> Alcotest.failf "transport error: %s" msg
+                  | Ok j ->
+                      let what = Printf.sprintf "%s %s/%s" name mode kind in
+                      Alcotest.(check (option string))
+                        (what ^ " is not_analysable") (Some "not_analysable")
+                        (Json.str_field "code" j);
+                      let err =
+                        Option.value ~default:"" (Json.str_field "error" j)
+                      in
+                      Alcotest.(check bool)
+                        (what ^ " names bound_overflow") true
+                        (Astring.String.is_infix ~affix:"bound_overflow" err))
+                cases)
+            overflow_programs;
+          Client.close c)
+
 let test_protocol_errors () =
   with_server (fun port ->
       match Client.connect ~port () with
@@ -687,6 +753,8 @@ let () =
             test_mode_all;
           Alcotest.test_case "inline program with loop bounds" `Quick
             test_inline_with_bounds;
+          Alcotest.test_case "bound overflow is not_analysable" `Quick
+            test_bound_overflow_not_analysable;
         ] );
       ( "protocol",
         [

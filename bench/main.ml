@@ -65,28 +65,14 @@ let system_of ?(arbiter = fun cores -> Interconnect.Arbiter.Round_robin { cores 
   in
   { sys with Core.Multicore.arbiter = arbiter cores }
 
-let simulate_shared sys (tasks : B.t array) =
-  let cfg =
-    Core.Multicore.machine_config sys
-      ~l2:(Sim.Machine.Shared_l2 sys.Core.Multicore.l2)
-  in
-  Sim.Machine.run cfg
-    ~cores:(Array.map (fun (b : B.t) -> Sim.Machine.task b.B.program) tasks)
-    ()
-
-let simulate_partitioned sys (tasks : B.t array) ~scheme =
-  let n = Array.length tasks in
-  let alloc = Cache.Partition.even_shares scheme sys.Core.Multicore.l2 ~parts:n in
-  let slices =
-    Array.init n (fun i ->
-        Cache.Partition.partition_config sys.Core.Multicore.l2 alloc ~index:i)
-  in
-  let cfg =
-    Core.Multicore.machine_config sys ~l2:(Sim.Machine.Private_l2 slices)
-  in
-  Sim.Machine.run cfg
-    ~cores:(Array.map (fun (b : B.t) -> Sim.Machine.task b.B.program) tasks)
-    ()
+(* One run of the mode's simulated machine, one task per core. *)
+let simulate mode sys (tasks : B.t array) =
+  match
+    Core.Mode.machine sys mode
+      (Array.map (fun (b : B.t) -> Sim.Machine.task b.B.program) tasks)
+  with
+  | Some [ (cfg, cores) ] -> Sim.Machine.run cfg ~cores ()
+  | _ -> invalid_arg "simulate: the mode has no single shared machine"
 
 let wcet_or_zero = function Some (w : Core.Wcet.t) -> w.Core.Wcet.wcet | None -> 0
 
@@ -96,18 +82,8 @@ let wcet_or_zero = function Some (w : Core.Wcet.t) -> w.Core.Wcet.wcet | None ->
 
 let t1 () =
   header "T1" "single-core WCET bounds vs. observed execution (full suite)";
-  let platform = Core.Platform.single_core ~l2:l2_default () in
-  let sim_cfg =
-    {
-      Sim.Machine.latencies = platform.Core.Platform.latencies;
-      l1i = platform.Core.Platform.l1i;
-      l1d = platform.Core.Platform.l1d;
-      l2 = Sim.Machine.Private_l2 [| l2_default |];
-      arbiter = Interconnect.Arbiter.Private;
-      refresh = platform.Core.Platform.refresh;
-      i_path = Sim.Machine.Conventional;
-    }
-  in
+  let platform = Core.Mode.solo_platform () in
+  let sim_cfg = Core.Mode.solo_machine platform in
   printf "%-14s %8s %10s %10s %8s\n" "benchmark" "instrs" "observed"
     "WCET" "ratio";
   rule 56;
@@ -131,9 +107,9 @@ let t2 () =
     "interference-oblivious bounds vs. contended reality (Section 2.2)";
   let tasks = Array.init 4 (fun _ -> B.l1_thrash ~n:48) in
   let sys = system_of tasks in
-  let oblivious = Core.Multicore.analyze_oblivious ~memo sys in
-  let joint = Core.Multicore.analyze_joint ~memo sys () in
-  let rs = simulate_shared sys tasks in
+  let oblivious = Core.Mode.analyze ~memo sys Oblivious in
+  let joint = Core.Mode.analyze ~memo sys Joint in
+  let rs = simulate Joint sys tasks in
   printf "%-8s %10s %12s %12s\n" "core" "observed" "oblivious" "joint";
   rule 48;
   Array.iteri
@@ -166,34 +142,15 @@ let t3 () =
             else B.straightline ~n:24)
       in
       let sys = system_of tasks in
-      let joint = Core.Multicore.analyze_joint ~memo sys () in
-      let bypass = Core.Multicore.analyze_joint ~memo sys ~bypass:true () in
+      let joint = Core.Mode.analyze ~memo sys Joint in
+      let bypass = Core.Mode.analyze ~memo sys Bypass in
       let disjoint =
         Core.Multicore.analyze_joint ~memo sys ~overlaps:(fun _ _ -> false) ()
       in
       (* Validate the bypass bound on a bypass-capable machine. *)
-      (let cfg =
-         Core.Multicore.machine_config sys
-           ~l2:(Sim.Machine.Shared_l2 sys.Core.Multicore.l2)
-       in
-       let cores =
-         Array.map
-           (fun (b : B.t) ->
-             let lines =
-               Core.Multicore.bypass_lines sys (b.B.program, b.B.annot)
-             in
-             let set = Hashtbl.create (2 * List.length lines + 1) in
-             List.iter (fun l -> Hashtbl.replace set l ()) lines;
-             {
-               (Sim.Machine.task b.B.program) with
-               Sim.Machine.l2_bypass = (fun l -> Hashtbl.mem set l);
-             })
-           tasks
-       in
-       let rs = Sim.Machine.run cfg ~cores () in
-       check_sound
-         ~bound:(wcet_or_zero bypass.(0))
-         ~observed:rs.(0).Sim.Machine.cycles);
+      check_sound
+        ~bound:(wcet_or_zero bypass.(0))
+        ~observed:(simulate Bypass sys tasks).(0).Sim.Machine.cycles;
       (* Degradation metric: fraction of the victim's L2 accesses whose
          classification the co-runner conflicts destroyed. *)
       let degraded =
@@ -282,8 +239,8 @@ let t4 () =
   (* Locking: static global selection vs per-region dynamic. *)
   let flat = Array.concat (Array.to_list core_tasks) in
   let sys4 = system_of flat in
-  let locked = Core.Multicore.analyze_locked ~memo sys4 in
-  let dyn = Core.Multicore.analyze_locked_dynamic ~memo sys4 in
+  let locked = Core.Mode.analyze ~memo sys4 Locked in
+  let dyn = Core.Mode.analyze ~memo sys4 Dynamic in
   printf "\n%-14s %12s %12s\n" "task" "locked-static" "locked-dyn";
   rule 42;
   Array.iteri
@@ -305,16 +262,10 @@ let t5 () =
   header "T5" "columnization vs bankization (Paolieri et al., Section 4.2)";
   let tasks = Array.init 4 (fun _ -> B.assoc_stress ~ways:4 ~reps:12) in
   let sys = system_of tasks in
-  let col =
-    Core.Multicore.analyze_partitioned ~memo sys
-      ~scheme:Cache.Partition.Columnization
-  in
-  let bank =
-    Core.Multicore.analyze_partitioned ~memo sys
-      ~scheme:Cache.Partition.Bankization
-  in
-  let col_rs = simulate_partitioned sys tasks ~scheme:Cache.Partition.Columnization in
-  let bank_rs = simulate_partitioned sys tasks ~scheme:Cache.Partition.Bankization in
+  let col = Core.Mode.analyze ~memo sys Columnized in
+  let bank = Core.Mode.analyze ~memo sys Bankized in
+  let col_rs = simulate Columnized sys tasks in
+  let bank_rs = simulate Bankized sys tasks in
   printf "%-8s %14s %14s %14s %14s\n" "core" "colmn WCET"
     "colmn observed" "bank WCET" "bank observed";
   rule 70;
@@ -360,8 +311,8 @@ let t6 () =
     (fun (label, arbiter) ->
       let tasks = Array.init 4 (fun _ -> B.l1_thrash ~n:32) in
       let sys = system_of ~arbiter tasks in
-      let joint = Core.Multicore.analyze_joint ~memo sys () in
-      let rs = simulate_shared sys tasks in
+      let joint = Core.Mode.analyze ~memo sys Joint in
+      let rs = simulate Joint sys tasks in
       let bound =
         Interconnect.Arbiter.worst_wait (arbiter 4) ~core:0 ~own_latency:lmax
           ~max_latency:lmax
@@ -396,8 +347,8 @@ let t7 () =
     (fun n ->
       let tasks = Array.init n (fun _ -> B.l1_thrash ~n:32) in
       let sys = system_of tasks in
-      let joint = Core.Multicore.analyze_joint ~memo sys () in
-      let rs = simulate_shared sys tasks in
+      let joint = Core.Mode.analyze ~memo sys Joint in
+      let rs = simulate Joint sys tasks in
       let bound =
         Interconnect.Arbiter.worst_wait
           (Interconnect.Arbiter.Round_robin { cores = n })
@@ -441,8 +392,8 @@ let t8 () =
   List.iter
     (fun (label, arbiter) ->
       let sys = system_of ~arbiter:(fun _ -> arbiter) tasks in
-      let joint = Core.Multicore.analyze_joint ~memo sys () in
-      let rs = simulate_shared sys tasks in
+      let joint = Core.Mode.analyze ~memo sys Joint in
+      let rs = simulate Joint sys tasks in
       check_sound ~bound:(wcet_or_zero joint.(0))
         ~observed:rs.(0).Sim.Machine.cycles;
       check_sound ~bound:(wcet_or_zero joint.(1))
@@ -609,20 +560,9 @@ let t12 () =
   header "T12"
     "conventional I-cache vs method cache (Schoeberl; Patmos paper)";
   let mc = { Cache.Method_cache.slots = 8; fill_per_word = 2 } in
-  let conventional = Core.Platform.single_core ~l2:l2_default () in
+  let conventional = Core.Mode.solo_platform () in
   let methodp =
     { (Core.Platform.single_core ()) with Core.Platform.method_cache = Some mc }
-  in
-  let sim_of (platform : Core.Platform.t) i_path l2 =
-    {
-      Sim.Machine.latencies = platform.Core.Platform.latencies;
-      l1i = platform.Core.Platform.l1i;
-      l1d = platform.Core.Platform.l1d;
-      l2;
-      arbiter = Interconnect.Arbiter.Private;
-      refresh = platform.Core.Platform.refresh;
-      i_path;
-    }
   in
   printf "%-12s | %10s %10s %6s | %10s %10s %6s\n" "benchmark"
     "conv obs" "conv WCET" "ratio" "mc obs" "mc WCET" "ratio";
@@ -634,8 +574,7 @@ let t12 () =
       in
       let conv_r =
         (Sim.Machine.run
-           (sim_of conventional Sim.Machine.Conventional
-              (Sim.Machine.Private_l2 [| l2_default |]))
+           (Core.Mode.solo_machine conventional)
            ~cores:[| Sim.Machine.task b.B.program |] ()).(0)
       in
       let mc_a =
@@ -643,7 +582,7 @@ let t12 () =
       in
       let mc_r =
         (Sim.Machine.run
-           (sim_of methodp (Sim.Machine.Method_cache mc) Sim.Machine.No_l2)
+           (Core.Mode.solo_machine methodp)
            ~cores:[| Sim.Machine.task b.B.program |] ()).(0)
       in
       check_sound ~bound:conv_a.Core.Wcet.wcet
@@ -725,21 +664,18 @@ let t14 () =
   let sys = system_of (Array.of_list flat) in
   let approaches =
     [
-      ("oblivious (unsafe)", fun s -> Core.Multicore.analyze_oblivious ~memo s);
-      ("joint", fun s -> Core.Multicore.analyze_joint ~memo s ());
-      ( "partitioned",
-        fun s ->
-          Core.Multicore.analyze_partitioned ~memo
-            ~scheme:Cache.Partition.Bankization s );
-      ("locked", fun s -> Core.Multicore.analyze_locked ~memo s);
+      ("oblivious (unsafe)", Core.Mode.Oblivious);
+      ("joint", Joint);
+      ("partitioned", Bankized);
+      ("locked", Locked);
     ]
   in
   printf "%-20s %14s %28s\n" "approach" "schedulable?"
     "worst response / period";
   rule 66;
   List.iter
-    (fun (label, analyze) ->
-      let wcets = Core.Multicore.wcets (analyze sys) in
+    (fun (label, mode) ->
+      let wcets = Core.Multicore.wcets (Core.Mode.analyze ~memo sys mode) in
       (* Assign WCETs back to the per-core task lists (flat order). *)
       let k = ref 0 in
       let all_ok = ref true in
@@ -792,14 +728,9 @@ let f1 () =
             else B.memory_bound ~n:16)
       in
       let sys = system_of tasks in
-      let get f = wcet_or_zero (f sys).(0) in
-      printf "%-6d %12d %12d %12d %12d\n" n
-        (get (Core.Multicore.analyze_oblivious ~memo))
-        (get (fun s -> Core.Multicore.analyze_joint ~memo s ()))
-        (get
-           (Core.Multicore.analyze_partitioned ~memo
-              ~scheme:Cache.Partition.Bankization))
-        (get (Core.Multicore.analyze_locked ~memo)))
+      let get mode = wcet_or_zero (Core.Mode.analyze ~memo sys mode).(0) in
+      printf "%-6d %12d %12d %12d %12d\n" n (get Oblivious) (get Joint)
+        (get Bankized) (get Locked))
     [ 1; 2; 4 ];
   print_endline
     "(oblivious is unsafe and flat; joint degrades with co-runner\n\
@@ -954,7 +885,7 @@ let measure_ns name fn =
 
 let bechamel_suite () =
   header "BENCH" "analysis-cost micro-benchmarks (Bechamel, ns per run)";
-  let platform = Core.Platform.single_core ~l2:l2_default () in
+  let platform = Core.Mode.solo_platform () in
   let crc = B.crc ~n:8 in
   let fib = B.fibonacci ~n:16 in
   let g = Cfg.Graph.build crc.B.program ~entry:"main" in
@@ -966,7 +897,7 @@ let bechamel_suite () =
         fun () -> ignore (Core.Wcet.analyze platform fib.B.program) );
       ( "T3 joint 2-task analysis",
         let sys = system_of [| crc; fib |] in
-        fun () -> ignore (Core.Multicore.analyze_joint sys ()) );
+        fun () -> ignore (Core.Mode.analyze sys Joint) );
       ( "T10 interleaving explore x2",
         fun () ->
           ignore (Core.Joint_interleaving.explore ~max_states:100_000 [ g; g ])
@@ -980,17 +911,7 @@ let bechamel_suite () =
           ignore (Core.Ipet.solve g ~loop_bounds:bounds ~block_cost:(fun _ -> 1) ())
       );
       ( "cycle-level simulation (crc)",
-        let cfg =
-          {
-            Sim.Machine.latencies = platform.Core.Platform.latencies;
-            l1i = platform.Core.Platform.l1i;
-            l1d = platform.Core.Platform.l1d;
-            l2 = Sim.Machine.Private_l2 [| l2_default |];
-            arbiter = Interconnect.Arbiter.Private;
-            refresh = platform.Core.Platform.refresh;
-            i_path = Sim.Machine.Conventional;
-          }
-        in
+        let cfg = Core.Mode.solo_machine platform in
         fun () -> ignore (Sim.Machine.run_single cfg crc.B.program ()) );
     ]
   in

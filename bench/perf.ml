@@ -70,7 +70,7 @@ type counters = {
    with every per-domain counter read before and after.  Runs on the
    calling domain so the DLS counters are coherent. *)
 let measure ~solver ~strategy ~reps (b : B.t) =
-  let platform = Core.Platform.single_core ~l2:l2_default () in
+  let platform = Core.Mode.solo_platform () in
   let read () =
     ( Lp.Simplex.pivots () + Lp.Reference.pivots (),
       Lp.Ilp.nodes_explored () + Lp.Reference.ilp_nodes (),
@@ -131,7 +131,7 @@ let obs_overhead_fraction () =
   done;
   let t_span = Sys.time () -. t0 in
   let per_call = Float.max 0. (t_span -. t_plain) /. float_of_int iters in
-  let platform = Core.Platform.single_core ~l2:l2_default () in
+  let platform = Core.Mode.solo_platform () in
   let catalog () =
     List.iter
       (fun (b : B.t) ->
@@ -172,7 +172,7 @@ let obs_overhead_fraction () =
    analysis wall time, since it is the piece a disabled-by-default
    [attribute] run adds. *)
 let attrib_overhead_fraction () =
-  let platform = Core.Platform.single_core ~l2:l2_default () in
+  let platform = Core.Mode.solo_platform () in
   let suite = B.suite () in
   let t0 = Sys.time () in
   let analyses =
@@ -235,8 +235,9 @@ let attrib_overhead_fraction () =
    longer and deeper loops) so steady-state simulation dominates the
    per-run machine construction that both interpreters share.  Each
    adjacent pair forms a 2-core task group; the seven simulable approach
-   modes reuse exactly the machine shapes the fuzz oracle validates
-   (dynamic locking is analysis-only and has no run to speed up). *)
+   modes run their {!Core.Mode.machine}, the machines the fuzz oracle
+   validates (dynamic locking is analysis-only and has no run to speed
+   up). *)
 let sim_params =
   {
     G.default_params with
@@ -263,115 +264,33 @@ let sim_bench ~reps ~programs =
       Sim.Machine.init_data = g.G.data_init;
     }
   in
-  (* One (config, setups) unit per machine the mode runs. *)
-  let solo_units =
-    Array.to_list gens
-    |> List.map (fun (g : G.t) ->
-           let sys =
-             MC.default_system ~cores:1
-               ~tasks:[| Some (g.G.program, g.G.annot) |]
-           in
-           let cfg =
-             {
-               (MC.machine_config sys
-                  ~l2:(Sim.Machine.Private_l2 [| sys.MC.l2 |]))
-               with
-               Sim.Machine.arbiter = Interconnect.Arbiter.Private;
-             }
-           in
-           (cfg, [| setup g |]))
+  (* One (config, setups) unit per machine the mode runs: solo runs
+     each program alone on the oblivious machine of a 1-core system, the
+     other modes run adjacent pairs as 2-core groups. *)
+  let system gs =
+    MC.default_system ~cores:(Array.length gs)
+      ~tasks:(Array.map (fun (g : G.t) -> Some (g.G.program, g.G.annot)) gs)
   in
-  let pair_units of_pair =
-    List.concat
-      (List.init (programs / 2) (fun k ->
-           let ga = gens.(2 * k) and gb = gens.((2 * k) + 1) in
-           let sys =
-             MC.default_system ~cores:2
-               ~tasks:
-                 [|
-                   Some (ga.G.program, ga.G.annot);
-                   Some (gb.G.program, gb.G.annot);
-                 |]
-           in
-           of_pair sys ga gb))
+  let units mode groups =
+    List.concat_map
+      (fun gs ->
+        Option.get
+          (Core.Mode.machine (system gs) mode (Array.map setup gs)))
+      groups
+  in
+  let pairs =
+    List.init (programs / 2) (fun k -> [| gens.(2 * k); gens.((2 * k) + 1) |])
   in
   let modes =
-    [
-      ("solo", solo_units);
-      ( "oblivious",
-        pair_units (fun sys ga gb ->
-            let cfg =
-              {
-                (MC.machine_config sys
-                   ~l2:(Sim.Machine.Private_l2 [| sys.MC.l2 |]))
-                with
-                Sim.Machine.arbiter = Interconnect.Arbiter.Private;
-              }
-            in
-            [ (cfg, [| setup ga |]); (cfg, [| setup gb |]) ]) );
-      ( "joint",
-        pair_units (fun sys ga gb ->
-            [
-              ( MC.machine_config sys ~l2:(Sim.Machine.Shared_l2 sys.MC.l2),
-                [| setup ga; setup gb |] );
-            ]) );
-      ( "bypass",
-        pair_units (fun sys ga gb ->
-            let with_bypass (g : G.t) =
-              let lines = MC.bypass_lines sys (g.G.program, g.G.annot) in
-              let set = Hashtbl.create (2 * List.length lines + 1) in
-              List.iter (fun l -> Hashtbl.replace set l ()) lines;
-              {
-                (setup g) with
-                Sim.Machine.l2_bypass = (fun l -> Hashtbl.mem set l);
-              }
-            in
-            [
-              ( MC.machine_config sys ~l2:(Sim.Machine.Shared_l2 sys.MC.l2),
-                [| with_bypass ga; with_bypass gb |] );
-            ]) );
-      ( "columnized",
-        pair_units (fun sys ga gb ->
-            let alloc =
-              Cache.Partition.even_shares Cache.Partition.Columnization
-                sys.MC.l2 ~parts:2
-            in
-            let slices =
-              Array.init 2 (fun i ->
-                  Cache.Partition.partition_config sys.MC.l2 alloc ~index:i)
-            in
-            [
-              ( MC.machine_config sys ~l2:(Sim.Machine.Private_l2 slices),
-                [| setup ga; setup gb |] );
-            ]) );
-      ( "bankized",
-        pair_units (fun sys ga gb ->
-            let alloc =
-              Cache.Partition.even_shares Cache.Partition.Bankization sys.MC.l2
-                ~parts:2
-            in
-            let slices =
-              Array.init 2 (fun i ->
-                  Cache.Partition.partition_config sys.MC.l2 alloc ~index:i)
-            in
-            [
-              ( MC.machine_config sys ~l2:(Sim.Machine.Private_l2 slices),
-                [| setup ga; setup gb |] );
-            ]) );
-      ( "locked",
-        pair_units (fun sys ga gb ->
-            let selection = MC.static_lock_selection sys in
-            let with_locks g =
-              {
-                (setup g) with
-                Sim.Machine.locked_l2_lines = selection.Cache.Locking.locked;
-              }
-            in
-            [
-              ( MC.machine_config sys ~l2:(Sim.Machine.Shared_l2 sys.MC.l2),
-                [| with_locks ga; with_locks gb |] );
-            ]) );
-    ]
+    ( "solo",
+      units Core.Mode.Oblivious
+        (List.map (fun g -> [| g |]) (Array.to_list gens)) )
+    :: List.filter_map
+         (fun mode ->
+           match mode with
+           | Core.Mode.Solo | Core.Mode.Dynamic -> None
+           | m -> Some (Core.Mode.name m, units m pairs))
+         Core.Mode.all
   in
   (* Verification pass: both interpreters, per-block attribution on,
      every result field bit-identical (the corpus halts, so the
@@ -486,9 +405,10 @@ let stall_replay_guard () =
    two engines; the wall-clock gate is on the aggregate sweep. *)
 
 let ctx_sweep_cores = 2
+let contended = List.filter (fun m -> m <> Core.Mode.Solo) Core.Mode.all
 
 let ctx_sweep_bench ~reps suite =
-  let solo_platform = Core.Platform.single_core ~l2:l2_default () in
+  let solo_platform = Core.Mode.solo_platform () in
   let fingerprint (w : Core.Wcet.t) =
     ( w.Core.Wcet.wcet,
       List.map
@@ -530,20 +450,8 @@ let ctx_sweep_bench ~reps suite =
     in
     ( bcet.Core.Bcet.bcet,
       List.map fingerprint
-        [
-          solo;
-          w0 (MC.analyze_oblivious ?ctxs sys);
-          w0 (MC.analyze_joint ?ctxs sys ());
-          w0 (MC.analyze_joint ?ctxs sys ~bypass:true ());
-          w0
-            (MC.analyze_partitioned ?ctxs sys
-               ~scheme:Cache.Partition.Columnization);
-          w0
-            (MC.analyze_partitioned ?ctxs sys
-               ~scheme:Cache.Partition.Bankization);
-          w0 (MC.analyze_locked ?ctxs sys);
-          w0 (MC.analyze_locked_dynamic ?ctxs sys);
-        ] )
+        (solo
+        :: List.map (fun m -> w0 (Core.Mode.analyze ?ctxs sys m)) contended) )
   in
   let time engine b =
     let p0 = Lp.Simplex.pivots () in
@@ -598,7 +506,7 @@ type refine_iter_row = {
 
 let refine_bench () =
   let cfg = Refine.default in
-  let solo_platform = Core.Platform.single_core ~l2:l2_default () in
+  let solo_platform = Core.Mode.solo_platform () in
   let cuts_of (w : Core.Wcet.t) =
     List.fold_left
       (fun acc (_, (pr : Core.Wcet.proc_result)) ->
@@ -633,21 +541,12 @@ let refine_bench () =
       | Some w -> cell name w
       | None -> failwith "no core-0 result"
     in
-    [
-      cell "solo"
-        (Core.Wcet.analyze_with ~refine:cfg ~ctx:solo_ctx solo_platform);
-      w0 "oblivious" (MC.analyze_oblivious ?ctxs ~refine:cfg sys);
-      w0 "joint" (MC.analyze_joint ?ctxs ~refine:cfg sys ());
-      w0 "bypass" (MC.analyze_joint ?ctxs ~refine:cfg sys ~bypass:true ());
-      w0 "columnized"
-        (MC.analyze_partitioned ?ctxs ~refine:cfg sys
-           ~scheme:Cache.Partition.Columnization);
-      w0 "bankized"
-        (MC.analyze_partitioned ?ctxs ~refine:cfg sys
-           ~scheme:Cache.Partition.Bankization);
-      w0 "locked" (MC.analyze_locked ?ctxs ~refine:cfg sys);
-      w0 "dynamic" (MC.analyze_locked_dynamic ?ctxs ~refine:cfg sys);
-    ]
+    cell "solo"
+      (Core.Wcet.analyze_with ~refine:cfg ~ctx:solo_ctx solo_platform)
+    :: List.map
+         (fun m ->
+           w0 (Core.Mode.name m) (Core.Mode.analyze ?ctxs ~refine:cfg sys m))
+         contended
   in
   let rows =
     List.map (fun (b : B.t) -> (b.B.name, sweep b)) (B.suite ())

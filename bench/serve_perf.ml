@@ -219,7 +219,7 @@ let measure_overhead () =
         (b.Workloads.Bench_programs.program, b.Workloads.Bench_programs.annot)
       in
       let mode =
-        match Fuzz.Oracle.mode_of_string mode_s with
+        match Core.Mode.of_string mode_s with
         | Ok m -> m
         | Error msg -> failwith msg
       in

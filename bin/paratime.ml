@@ -106,7 +106,7 @@ let render_all_modes results =
        "compute" "l1_miss" "l2_miss" "bus" "stall");
   List.iter
     (fun (mode, r) ->
-      let name = Fuzz.Oracle.mode_name mode in
+      let name = Core.Mode.name mode in
       match r with
       | Ok (e : Store.Entry.t) ->
           let v = e.Store.Entry.attrib.Attrib.total in
@@ -123,6 +123,17 @@ let render_all_modes results =
 let all_modes_results ?refine ~cores task =
   if cores < 1 || cores > 4 then die "--cores must be in 1..4 with --mode all";
   Server_lib.Modes.analyze_all ?refine ~cores ~kind:Server_lib.Modes.Wcet task
+
+(* A per-mode table with any error row is a failed run: exit 1 once
+   everything has been printed, as a single failed analysis does. *)
+let exit_if_failed results =
+  if List.exists (fun (_, r) -> Result.is_error r) results then exit 1
+
+(* [--mode M] for a single approach mode; "all" is handled by callers. *)
+let mode_of_flag s =
+  match Core.Mode.of_string s with
+  | Ok m -> m
+  | Error msg -> die "%s; or \"all\" for the whole sweep" msg
 
 (* [--refine] everywhere maps the flag to the default CEGAR budget. *)
 let refine_of_flag refine = if refine then Some Refine.default else None
@@ -207,28 +218,24 @@ let analyze_cmd =
   in
   let run source mode_arg with_l2 cores arbiter_kind core_id method_cache
       refine verbose report =
+    let refine_cfg = refine_of_flag refine in
     match mode_arg with
-    | Some "all" ->
-        print_string
-          (render_all_modes
-             (all_modes_results
-                ?refine:(refine_of_flag refine)
-                ~cores (load source)))
-    | Some mode_s -> (
-        match Server_lib.Modes.mode_of_string mode_s with
-        | Error msg -> die "%s; or \"all\" for the whole sweep" msg
-        | Ok mode ->
+    | Some mode_s ->
+        let results =
+          if mode_s = "all" then
+            all_modes_results ?refine:refine_cfg ~cores (load source)
+          else
+            let mode = mode_of_flag mode_s in
             if cores < 1 || cores > 4 then
               die "--cores must be in 1..4 with --mode";
-            let task = load source in
-            print_string
-              (render_all_modes
-                 [
-                   ( mode,
-                     Server_lib.Modes.analyze
-                       ?refine:(refine_of_flag refine)
-                       ~mode ~cores ~kind:Server_lib.Modes.Wcet task );
-                 ]))
+            [
+              ( mode,
+                Server_lib.Modes.analyze ?refine:refine_cfg ~mode ~cores
+                  ~kind:Server_lib.Modes.Wcet (load source) );
+            ]
+        in
+        print_string (render_all_modes results);
+        exit_if_failed results
     | None ->
         run_platform source with_l2 cores arbiter_kind core_id method_cache
           refine verbose report
@@ -361,16 +368,16 @@ let multicore_cmd =
     Printf.printf "%-14s" "approach";
     List.iteri (fun i _ -> Printf.printf " %10s" (Printf.sprintf "core%d" i)) sources;
     print_newline ();
-    show "oblivious" (Core.Multicore.analyze_oblivious sys);
-    show "joint" (Core.Multicore.analyze_joint sys ());
-    show "joint+bypass" (Core.Multicore.analyze_joint sys ~bypass:true ());
-    show "columnized"
-      (Core.Multicore.analyze_partitioned sys
-         ~scheme:Cache.Partition.Columnization);
-    show "bankized"
-      (Core.Multicore.analyze_partitioned sys ~scheme:Cache.Partition.Bankization);
-    show "locked" (Core.Multicore.analyze_locked sys);
-    show "locked-dyn" (Core.Multicore.analyze_locked_dynamic sys)
+    List.iter
+      (fun mode ->
+        let label =
+          match mode with
+          | Core.Mode.Bypass -> "joint+bypass"
+          | Core.Mode.Dynamic -> "locked-dyn"
+          | m -> Core.Mode.name m
+        in
+        show label (Core.Mode.analyze sys mode))
+      (List.filter (fun m -> m <> Core.Mode.Solo) Core.Mode.all)
   in
   let sources =
     Arg.(
@@ -741,11 +748,11 @@ let fuzz_cmd =
         List.concat_map (String.split_on_char ',') mode_args
         |> List.filter (fun s -> s <> "")
       with
-      | [] -> Fuzz.Oracle.all_modes
+      | [] -> Core.Mode.all
       | names ->
           List.map
             (fun n ->
-              match Fuzz.Oracle.mode_of_string n with
+              match Core.Mode.of_string n with
               | Ok m -> m
               | Error msg -> die "%s" msg)
             names
@@ -946,126 +953,46 @@ let fuzz_cmd =
 
 (* ---------------- attribute ---------------- *)
 
-(* Mode wiring mirrors Fuzz.Oracle.run_mode: the analysis and the
-   simulated machine must describe the same hardware for the gap to mean
-   anything.  The attributed task runs on core 0; under the contended
-   modes every other core runs the same program as a co-runner.
+(* The analysis and the simulated machine of a mode both come from the
+   {!Core.Mode} table, so they describe the same hardware and the gap
+   means something.  The attributed task runs on core 0; under the
+   contended modes every other core runs the same program as a
+   co-runner.
 
-   [mode_attribution] is the one place that pairing lives: it returns
-   the analytic attribution plus the observed one when the mode has a
-   simulated side ([None] for dynamic locking, which the machine cannot
-   execute).  Both the single-mode report and the per-mode gap table of
-   [--mode all --gap] go through it.  Raises
+   [mode_attribution] returns the analytic attribution plus the observed
+   one when the mode has a simulated side ([None] for dynamic locking,
+   which the machine cannot execute).  Both the single-mode report and
+   the per-mode gap table of [--mode all --gap] go through it.  Raises
    {!Core.Wcet.Not_analysable}. *)
 let mode_attribution ~cores ~program ~annot mode =
-  let l2_cfg = Cache.Config.make ~sets:64 ~assoc:4 ~line_size:16 in
-  let analysis_of (w : Core.Wcet.t option) =
-    match w with
+  let setups =
+    Array.init cores (fun i ->
+        { (Sim.Machine.task program) with Sim.Machine.attrib_blocks = i = 0 })
+  in
+  let wcet, machine =
+    match mode with
+    | Core.Mode.Solo ->
+        let platform = Core.Mode.solo_platform () in
+        ( Some (Core.Wcet.analyze ~annot platform program),
+          Some [ (Core.Mode.solo_machine platform, [| setups.(0) |]) ] )
+    | m ->
+        let sys =
+          Core.Multicore.default_system ~cores
+            ~tasks:(Array.make cores (Some (program, annot)))
+        in
+        let ws = Core.Mode.analyze sys m in
+        (ws.(0), Core.Mode.machine sys m setups)
+  in
+  let analysis =
+    match wcet with
     | Some w -> Attrib.of_wcet w
     | None -> die "no analysis result for core 0"
   in
-  let setups n =
-    Array.init n (fun i ->
-        {
-          (Sim.Machine.task program) with
-          Sim.Machine.attrib_blocks = i = 0;
-        })
+  (* core 0 is the first core of the first run *)
+  let observe (cfg, cores) =
+    Attrib.observed (Sim.Machine.run cfg ~cores ()).(0)
   in
-  let sys =
-    Core.Multicore.default_system ~cores
-      ~tasks:(Array.make cores (Some (program, annot)))
-  in
-  let shared_machine =
-    Core.Multicore.machine_config sys
-      ~l2:(Sim.Machine.Shared_l2 sys.Core.Multicore.l2)
-  in
-  let analysis, sim_result =
-    match mode with
-    | Fuzz.Oracle.Solo ->
-        let platform = Core.Platform.single_core ~l2:l2_cfg () in
-        let a = Core.Wcet.analyze ~annot platform program in
-        let cfg =
-          {
-            Sim.Machine.latencies = platform.Core.Platform.latencies;
-            l1i = platform.Core.Platform.l1i;
-            l1d = platform.Core.Platform.l1d;
-            l2 = Sim.Machine.Private_l2 [| l2_cfg |];
-            arbiter = Interconnect.Arbiter.Private;
-            refresh = platform.Core.Platform.refresh;
-            i_path = Sim.Machine.Conventional;
-          }
-        in
-        ( Attrib.of_wcet a,
-          Some (Sim.Machine.run cfg ~cores:(setups 1) ()).(0) )
-    | Fuzz.Oracle.Oblivious ->
-        let a = analysis_of (Core.Multicore.analyze_oblivious sys).(0) in
-        let cfg =
-          {
-            (Core.Multicore.machine_config sys
-               ~l2:(Sim.Machine.Private_l2 [| sys.Core.Multicore.l2 |]))
-            with
-            Sim.Machine.arbiter = Interconnect.Arbiter.Private;
-          }
-        in
-        (* the oblivious bound is only claimed solo *)
-        (a, Some (Sim.Machine.run cfg ~cores:(setups 1) ()).(0))
-    | Fuzz.Oracle.Joint ->
-        let a = analysis_of (Core.Multicore.analyze_joint sys ()).(0) in
-        (a, Some (Sim.Machine.run shared_machine ~cores:(setups cores) ()).(0))
-    | Fuzz.Oracle.Bypass ->
-        let a =
-          analysis_of (Core.Multicore.analyze_joint sys ~bypass:true ()).(0)
-        in
-        let lines = Core.Multicore.bypass_lines sys (program, annot) in
-        let set = Hashtbl.create (2 * List.length lines + 1) in
-        List.iter (fun l -> Hashtbl.replace set l ()) lines;
-        let cs =
-          Array.map
-            (fun s ->
-              { s with Sim.Machine.l2_bypass = (fun l -> Hashtbl.mem set l) })
-            (setups cores)
-        in
-        (a, Some (Sim.Machine.run shared_machine ~cores:cs ()).(0))
-    | Fuzz.Oracle.Columnized | Fuzz.Oracle.Bankized ->
-        let scheme =
-          if mode = Fuzz.Oracle.Columnized then Cache.Partition.Columnization
-          else Cache.Partition.Bankization
-        in
-        let a =
-          analysis_of (Core.Multicore.analyze_partitioned sys ~scheme).(0)
-        in
-        let alloc =
-          Cache.Partition.even_shares scheme sys.Core.Multicore.l2
-            ~parts:cores
-        in
-        let slices =
-          Array.init cores (fun i ->
-              Cache.Partition.partition_config sys.Core.Multicore.l2 alloc
-                ~index:i)
-        in
-        let cfg =
-          Core.Multicore.machine_config sys
-            ~l2:(Sim.Machine.Private_l2 slices)
-        in
-        (a, Some (Sim.Machine.run cfg ~cores:(setups cores) ()).(0))
-    | Fuzz.Oracle.Locked ->
-        let selection = Core.Multicore.static_lock_selection sys in
-        let a = analysis_of (Core.Multicore.analyze_locked sys).(0) in
-        let cs =
-          Array.map
-            (fun s ->
-              {
-                s with
-                Sim.Machine.locked_l2_lines = selection.Cache.Locking.locked;
-              })
-            (setups cores)
-        in
-        (a, Some (Sim.Machine.run shared_machine ~cores:cs ()).(0))
-    | Fuzz.Oracle.Dynamic ->
-        (* analysis-level only: the machine cannot reprogram locks *)
-        (analysis_of (Core.Multicore.analyze_locked_dynamic sys).(0), None)
-  in
-  (analysis, Option.map Attrib.observed sim_result)
+  (analysis, Option.map (fun runs -> observe (List.hd runs)) machine)
 
 let attribute_cmd =
   let run_all source cores gap trace_out csv_out =
@@ -1084,17 +1011,17 @@ let attribute_cmd =
           | analysis, Some o ->
               let g = Attrib.gap ~analysis ~observed:o in
               Printf.printf "%-12s %10d %10d %10d %14s\n"
-                (Fuzz.Oracle.mode_name m) analysis.Attrib.bound
+                (Core.Mode.name m) analysis.Attrib.bound
                 o.Attrib.bound
                 (analysis.Attrib.bound - o.Attrib.bound)
                 (Pipeline.Cost.category_name g.Attrib.dominant)
           | analysis, None ->
               Printf.printf "%-12s %10d %10s %10s %14s\n"
-                (Fuzz.Oracle.mode_name m) analysis.Attrib.bound "-" "-"
+                (Core.Mode.name m) analysis.Attrib.bound "-" "-"
                 "analytic only"
           | exception Core.Wcet.Not_analysable msg ->
               Printf.printf "%-12s not analysable: %s\n"
-                (Fuzz.Oracle.mode_name m) msg)
+                (Core.Mode.name m) msg)
         results
     end;
     let each f =
@@ -1102,7 +1029,7 @@ let attribute_cmd =
         (fun (m, r) ->
           match r with
           | Ok (e : Store.Entry.t) ->
-              f (Fuzz.Oracle.mode_name m) e.Store.Entry.attrib
+              f (Core.Mode.name m) e.Store.Entry.attrib
           | Error _ -> ())
         results
     in
@@ -1114,7 +1041,7 @@ let attribute_cmd =
         write_file path (Buffer.contents b);
         Printf.eprintf "paratime: attribution CSV written to %s\n%!" path
     | None -> ());
-    match trace_out with
+    (match trace_out with
     | Some path ->
         let sink = Obs.Sink.create () in
         Obs.set_sink (Some sink);
@@ -1122,23 +1049,21 @@ let attribute_cmd =
         Obs.set_sink None;
         write_file path (Obs.Trace_export.to_json sink);
         Printf.eprintf "paratime: attribution trace written to %s\n%!" path
-    | None -> ()
+    | None -> ());
+    exit_if_failed results
   in
   let run source mode_arg cores gap trace_out csv_out =
     if cores < 1 || cores > 4 then die "--cores must be in 1..4";
     if mode_arg = "all" then run_all source cores gap trace_out csv_out
     else
-    let mode =
-      match Fuzz.Oracle.mode_of_string mode_arg with
-      | Ok m -> m
-      | Error msg -> die "%s; or \"all\" for the whole sweep" msg
-    in
+    let mode = mode_of_flag mode_arg in
     let program, annot = load source in
     let analysis, observed =
       match mode_attribution ~cores ~program ~annot mode with
       | pair -> pair
       | exception Core.Wcet.Not_analysable msg ->
-          die "not analysable: %s" msg
+          Printf.eprintf "paratime: not analysable: %s\n" msg;
+          exit 1
     in
     print_string (Attrib.render analysis);
     (match observed with
@@ -1586,11 +1511,11 @@ let loadtest_cmd =
   let run host port requests connections repeat working_set modes_s cores
       kind_s seed shutdown json_out scrape =
     let modes =
-      if modes_s = "all" then Fuzz.Oracle.all_modes
+      if modes_s = "all" then Core.Mode.all
       else
         List.map
           (fun s ->
-            match Fuzz.Oracle.mode_of_string (String.trim s) with
+            match Core.Mode.of_string (String.trim s) with
             | Ok m -> m
             | Error msg -> die "%s" msg)
           (String.split_on_char ',' modes_s)

@@ -1,20 +1,8 @@
-type tier2 = {
-  t2_find : kind:string -> string -> string option;
-  t2_store : kind:string -> string -> string -> unit;
-}
+type packed = Wcet_r of Wcet.t | Bcet_r of Bcet.t
+type t = (string, packed) Engine.Lru.t
 
-type t = {
-  lru : (string, packed) Engine.Lru.t;
-  mutable tier2 : tier2 option;
-}
-
-and packed = Wcet_r of Wcet.t | Bcet_r of Bcet.t
-
-let create ?(capacity = 512) () =
-  { lru = Engine.Lru.create ~capacity (); tier2 = None }
-
-let set_tier2 t hook = t.tier2 <- hook
-let stats t = Engine.Lru.stats t.lru
+let create ?(capacity = 512) () = Engine.Lru.create ~capacity ()
+let stats = Engine.Lru.stats
 
 (* Per-domain (hits, lookups) counters, global across all memo tables so a
    pool worker can attribute cache behaviour to the job it is running. *)
@@ -63,7 +51,7 @@ let key ~kind ~annot ~salt platform program =
 let lookup t key =
   let hits, lookups = Domain.DLS.get local_key in
   incr lookups;
-  match Engine.Lru.find t.lru key with
+  match Engine.Lru.find t key with
   | Some _ as r ->
       incr hits;
       r
@@ -86,61 +74,8 @@ let wcet t ?(annot = Dataflow.Annot.empty) ?salt ?compute platform
       | Some (Wcet_r r) -> r
       | Some (Bcet_r _) | None ->
           let r = analyze () in
-          Engine.Lru.put t.lru k (Wcet_r r);
+          Engine.Lru.put t k (Wcet_r r);
           r)
-
-(* Blob-level entry points: the result crosses the API as an encoded
-   string, which is what lets the *second level* serve a hit without
-   being able to rebuild a full (closure-carrying) analysis result.  The
-   caller's [encode] must be canonical (equal results -> equal bytes);
-   with that, a tier-2 hit is bit-identical to re-encoding the cold
-   result it was written from. *)
-let encoded_of t ~kind ~encode ~analyze ~pack ~unpack key =
-  match key with
-  | None -> encode (analyze ())
-  | Some k -> (
-      let compute_and_store () =
-        let r = analyze () in
-        Engine.Lru.put t.lru k (pack r);
-        let blob = encode r in
-        (match t.tier2 with
-        | Some h ->
-            h.t2_store ~kind k blob;
-            Obs.add "memo.tier2_store" 1
-        | None -> ());
-        blob
-      in
-      match Option.bind (lookup t k) unpack with
-      | Some r -> encode r
-      | None -> (
-          match t.tier2 with
-          | None -> compute_and_store ()
-          | Some h -> (
-              match h.t2_find ~kind k with
-              | Some blob ->
-                  (* a second-level hit spares the analysis: count it as
-                     a hit for the calling domain's job accounting *)
-                  let hits, _ = Domain.DLS.get local_key in
-                  incr hits;
-                  Obs.add "memo.tier2_hit" 1;
-                  blob
-              | None -> compute_and_store ())))
-
-let wcet_encoded t ~encode ?(annot = Dataflow.Annot.empty) ?salt
-    platform program =
-  encoded_of t ~kind:"wcet" ~encode
-    ~analyze:(fun () -> Wcet.analyze ~annot platform program)
-    ~pack:(fun r -> Wcet_r r)
-    ~unpack:(function Wcet_r r -> Some r | Bcet_r _ -> None)
-    (key ~kind:"wcet" ~annot ~salt platform program)
-
-let bcet_encoded t ~encode ?(annot = Dataflow.Annot.empty) ?salt
-    platform program =
-  encoded_of t ~kind:"bcet" ~encode
-    ~analyze:(fun () -> Bcet.analyze ~annot platform program)
-    ~pack:(fun r -> Bcet_r r)
-    ~unpack:(function Bcet_r r -> Some r | Wcet_r _ -> None)
-    (key ~kind:"bcet" ~annot ~salt platform program)
 
 let bcet t ?(annot = Dataflow.Annot.empty) ?salt ?compute platform
     program =
@@ -156,5 +91,5 @@ let bcet t ?(annot = Dataflow.Annot.empty) ?salt ?compute platform
       | Some (Bcet_r r) -> r
       | Some (Wcet_r _) | None ->
           let r = analyze () in
-          Engine.Lru.put t.lru k (Bcet_r r);
+          Engine.Lru.put t k (Bcet_r r);
           r)

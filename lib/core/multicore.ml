@@ -102,10 +102,13 @@ let analyze_each ?memo ?salt ?ctxs ?refine system ~platform_for =
     system.tasks
 
 (* Oblivious: pretend the task owns the machine (private bus, whole L2). *)
+let oblivious_platform system =
+  platform_of system ~core:0 ~l2:(Platform.Private_l2 system.l2)
+    ~arbiter:Interconnect.Arbiter.Private
+
 let analyze_oblivious ?memo ?ctxs ?refine system =
   analyze_each ?memo ?ctxs ?refine system ~platform_for:(fun _core ->
-      platform_of system ~core:0 ~l2:(Platform.Private_l2 system.l2)
-        ~arbiter:Interconnect.Arbiter.Private)
+      oblivious_platform system)
 
 (* Per-procedure flow facts of a task, bottom-up: from the shared
    context when one is supplied, rebuilt otherwise.  The rebuild
@@ -249,10 +252,7 @@ let lock_selection ?memo ?ctxs system =
       | Some (program, annot) -> (
           let ctx = ctx_of ctxs core in
           match
-            wcet_of ?memo ?ctx ~annot
-              (platform_of system ~core:0 ~l2:(Platform.Private_l2 system.l2)
-                 ~arbiter:Interconnect.Arbiter.Private)
-              program
+            wcet_of ?memo ?ctx ~annot (oblivious_platform system) program
           with
           | w ->
               List.iter

@@ -48,6 +48,12 @@ val contexts : system -> contexts
     bit-identical to the context-free path.  Not domain-safe: build one
     per worker domain. *)
 
+val oblivious_platform : system -> Platform.t
+(** The interference-free platform {!analyze_oblivious} assumes for
+    every task: the whole L2 as a private slice, no bus contention.  A
+    BCET on it lower-bounds every execution of the task in every
+    mode. *)
+
 val analyze_oblivious :
   ?memo:Memo.t ->
   ?ctxs:contexts ->

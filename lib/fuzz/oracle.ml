@@ -1,7 +1,7 @@
 module P = Core.Platform
 module M = Core.Multicore
 
-type mode =
+type mode = Core.Mode.t =
   | Solo
   | Oblivious
   | Joint
@@ -11,28 +11,8 @@ type mode =
   | Locked
   | Dynamic
 
-let all_modes =
-  [ Solo; Oblivious; Joint; Bypass; Columnized; Bankized; Locked; Dynamic ]
-
-let mode_name = function
-  | Solo -> "solo"
-  | Oblivious -> "oblivious"
-  | Joint -> "joint"
-  | Bypass -> "bypass"
-  | Columnized -> "columnized"
-  | Bankized -> "bankized"
-  | Locked -> "locked"
-  | Dynamic -> "dynamic"
-
-let mode_of_string s =
-  match
-    List.find_opt (fun m -> mode_name m = String.lowercase_ascii s) all_modes
-  with
-  | Some m -> Ok m
-  | None ->
-      Error
-        (Printf.sprintf "unknown mode %S (expected one of: %s)" s
-           (String.concat ", " (List.map mode_name all_modes)))
+let all_modes = Core.Mode.all
+let mode_name = Core.Mode.name
 
 type interp = [ `Block | `Reference | `Both ]
 type engine = [ `Context | `Fresh ]
@@ -115,28 +95,6 @@ let bcet_bound ?memo ?ctx ~annot platform program =
       | None -> Core.Bcet.analyze ~annot platform program)
         .Core.Bcet.bcet
   | Some m -> (Core.Memo.bcet m ~annot ?compute platform program).Core.Bcet.bcet
-
-(* The concrete single-core machine a platform describes (the analysis
-   and the simulator must agree on geometry, refresh, and the
-   instruction path). *)
-let sim_config_of (p : P.t) =
-  {
-    Sim.Machine.latencies = p.P.latencies;
-    l1i = p.P.l1i;
-    l1d = p.P.l1d;
-    l2 =
-      (match p.P.l2 with
-      | P.No_l2 -> Sim.Machine.No_l2
-      | P.Private_l2 c -> Sim.Machine.Private_l2 [| c |]
-      | P.Shared_l2 { config; _ } | P.Locked_l2 { config; _ } ->
-          Sim.Machine.Shared_l2 config);
-    arbiter = Interconnect.Arbiter.Private;
-    refresh = p.P.refresh;
-    i_path =
-      (match p.P.method_cache with
-      | None -> Sim.Machine.Conventional
-      | Some mc -> Sim.Machine.Method_cache mc);
-  }
 
 let solo_shapes () =
   let l2_small = Cache.Config.make ~sets:16 ~assoc:2 ~line_size:16 in
@@ -320,7 +278,7 @@ let check_solo ?memo ?(checkpoint = fun () -> ())
       let rs, dv =
         sim_run ~interp ~mode:Solo ~shape
           ~g_of:(fun _ -> g)
-          (sim_config_of platform)
+          (Core.Mode.solo_machine platform)
           ~cores:[| setup_of g |] ()
       in
       divergences := !divergences @ dv;
@@ -349,21 +307,16 @@ let check_solo ?memo ?(checkpoint = fun () -> ())
 
 (* ---- contended modes ------------------------------------------------- *)
 
-(* The interference-free platform of [analyze_oblivious]: whole L2 as a
-   private slice, no bus contention.  Its BCET lower-bounds every
-   execution of the task on every mode. *)
-let private_platform (sys : M.system) =
-  {
-    P.latencies = sys.M.latencies;
-    l1i = sys.M.l1i;
-    l1d = sys.M.l1d;
-    l2 = P.Private_l2 sys.M.l2;
-    arbiter = Interconnect.Arbiter.Private;
-    core = 0;
-    refresh = sys.M.refresh;
-    mem_arbiter = None;
-    method_cache = None;
-  }
+(* The check label of each contended mode's machine. *)
+let shape_of = function
+  | Solo -> "solo"
+  | Oblivious -> "private-l2"
+  | Joint -> "shared-l2"
+  | Bypass -> "shared-l2+bypass"
+  | Columnized -> "l2-columns"
+  | Bankized -> "l2-banks"
+  | Locked -> "locked-l2"
+  | Dynamic -> "locked-l2-dynamic"
 
 let check_group ?memo ?(checkpoint = fun () -> ())
     ?(interp : interp = `Block) ?(engine : engine = `Context) ?refine ~modes
@@ -392,7 +345,7 @@ let check_group ?memo ?(checkpoint = fun () -> ())
     Array.mapi
       (fun i (g : Generator.t) ->
         bcet_bound ?memo ?ctx:(ctx_for i) ~annot:g.Generator.annot
-          (private_platform sys) g.Generator.program)
+          (M.oblivious_platform sys) g.Generator.program)
       gens
   in
   let plain_setups = Array.map setup_of gens in
@@ -402,119 +355,34 @@ let check_group ?memo ?(checkpoint = fun () -> ())
     divergences := !divergences @ dv;
     rs
   in
-  (* One sandwich per core, against either a per-core result array, a
-     per-core solo run, or nothing (analytic modes). *)
-  let per_core ~mode ~shape results result_for =
-    List.filter_map
-      (fun core ->
-        match results.(core) with
-        | None -> None
-        | Some (w : Core.Wcet.t) ->
-            Some
-              (sandwich ?unrefined:w.Core.Wcet.unrefined_wcet ~mode ~shape
-                 ~g:gens.(core) ~core ~bcet:bcets.(core)
-                 ~wcet:w.Core.Wcet.wcet ~a_vec:(root_vec w) (result_for core)))
-      (List.init n (fun i -> i))
-  in
+  (* The mode's bounds, then its machine (when it has one), then one
+     sandwich per analysed core; the runs' results concatenate to one
+     per core. *)
   let run_mode mode =
     checkpoint ();
-    match mode with
-    | Solo -> []
-    | Oblivious ->
-        (* only claimed solo: validate each task owning the machine *)
-        let ws = M.analyze_oblivious ?memo ?ctxs ?refine sys in
-        let cfg =
-          {
-            (M.machine_config sys ~l2:(Sim.Machine.Private_l2 [| sys.M.l2 |]))
-            with
-            Sim.Machine.arbiter = Interconnect.Arbiter.Private;
-          }
-        in
-        per_core ~mode ~shape:"private-l2" ws (fun core ->
-            Some
-              (sim ~mode ~shape:"private-l2"
-                 ~g_of:(fun _ -> gens.(core))
-                 cfg
-                 ~cores:[| plain_setups.(core) |]).(0))
-    | Joint ->
-        let ws = M.analyze_joint ?memo ?ctxs ?refine sys () in
-        let rs =
-          sim ~mode ~shape:"shared-l2"
-            ~g_of:(fun i -> gens.(i))
-            (M.machine_config sys ~l2:(Sim.Machine.Shared_l2 sys.M.l2))
-            ~cores:plain_setups
-        in
-        per_core ~mode ~shape:"shared-l2" ws (fun core -> Some rs.(core))
-    | Bypass ->
-        let ws = M.analyze_joint ?memo ?ctxs ?refine sys ~bypass:true () in
-        let setups =
-          Array.mapi
-            (fun core (g : Generator.t) ->
-              let lines =
-                M.bypass_lines ?ctx:(ctx_for core) sys
-                  (g.Generator.program, g.Generator.annot)
-              in
-              let set = Hashtbl.create (2 * List.length lines) in
-              List.iter (fun l -> Hashtbl.replace set l ()) lines;
-              {
-                (setup_of g) with
-                Sim.Machine.l2_bypass = (fun l -> Hashtbl.mem set l);
-              })
-            gens
-        in
-        let rs =
-          sim ~mode ~shape:"shared-l2+bypass"
-            ~g_of:(fun i -> gens.(i))
-            (M.machine_config sys ~l2:(Sim.Machine.Shared_l2 sys.M.l2))
-            ~cores:setups
-        in
-        per_core ~mode ~shape:"shared-l2+bypass" ws (fun core -> Some rs.(core))
-    | Columnized | Bankized ->
-        let scheme =
-          if mode = Columnized then Cache.Partition.Columnization
-          else Cache.Partition.Bankization
-        in
-        let ws = M.analyze_partitioned ?memo ?ctxs ?refine sys ~scheme in
-        let alloc = Cache.Partition.even_shares scheme sys.M.l2 ~parts:n in
-        let slices =
-          Array.init n (fun i ->
-              Cache.Partition.partition_config sys.M.l2 alloc ~index:i)
-        in
-        let shape = if mode = Columnized then "l2-columns" else "l2-banks" in
-        let rs =
-          sim ~mode ~shape
-            ~g_of:(fun i -> gens.(i))
-            (M.machine_config sys ~l2:(Sim.Machine.Private_l2 slices))
-            ~cores:plain_setups
-        in
-        per_core ~mode
-          ~shape
-          ws
-          (fun core -> Some rs.(core))
-    | Locked ->
-        let selection = M.static_lock_selection ?memo ?ctxs sys in
-        let ws = M.analyze_locked ?memo ?ctxs ?refine sys in
-        let setups =
-          Array.map
-            (fun s ->
-              {
-                s with
-                Sim.Machine.locked_l2_lines =
-                  selection.Cache.Locking.locked;
-              })
-            plain_setups
-        in
-        let rs =
-          sim ~mode ~shape:"locked-l2"
-            ~g_of:(fun i -> gens.(i))
-            (M.machine_config sys ~l2:(Sim.Machine.Shared_l2 sys.M.l2))
-            ~cores:setups
-        in
-        per_core ~mode ~shape:"locked-l2" ws (fun core -> Some rs.(core))
-    | Dynamic ->
-        (* analysis-level only: the machine cannot reprogram lock bits *)
-        let ws = M.analyze_locked_dynamic ?memo ?ctxs ?refine sys in
-        per_core ~mode ~shape:"locked-l2-dynamic" ws (fun _ -> None)
+    let ws = Core.Mode.analyze ?memo ?ctxs ?refine sys mode in
+    let shape = shape_of mode in
+    let observed =
+      Core.Mode.machine ?memo ?ctxs sys mode plain_setups
+      |> Option.map (fun runs ->
+             List.fold_left_map
+               (fun base (cfg, cores) ->
+                 let g_of i = gens.(base + i) in
+                 ( base + Array.length cores,
+                   sim ~mode ~shape ~g_of cfg ~cores ))
+               0 runs
+             |> snd |> Array.concat)
+    in
+    List.filter_map
+      (fun core ->
+        Option.map
+          (fun (w : Core.Wcet.t) ->
+            sandwich ?unrefined:w.Core.Wcet.unrefined_wcet ~mode ~shape
+              ~g:gens.(core) ~core ~bcet:bcets.(core) ~wcet:w.Core.Wcet.wcet
+              ~a_vec:(root_vec w)
+              (Option.map (fun rs -> rs.(core)) observed))
+          ws.(core))
+      (List.init n (fun i -> i))
   in
   let per_mode mode =
     match run_mode mode with

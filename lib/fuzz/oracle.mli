@@ -3,33 +3,24 @@
     For every generated program the oracle asserts the execution-time
     sandwich [BCET <= observed <= WCET] of the repo's platform contract:
     the observed side comes from {!Sim.Machine} (the concrete machine),
-    the bound sides from {!Core.Wcet}/{!Core.Bcet}/{!Core.Multicore}
-    (the analyses), configured to describe *the same* machine.
+    the bound sides from {!Core.Wcet}/{!Core.Bcet} (the analyses),
+    configured to describe *the same* machine.
 
-    Modes and what each validates:
     - [Solo]: five single-core platform shapes (no L2, private L2, tiny
       L1s, distributed DRAM refresh, method cache), full sandwich per
       shape.
-    - [Oblivious]: the interference-oblivious baseline.  Its bound is
-      only claimed for a task owning the machine, so it is validated
-      against a *solo* run — under contention it can be exceeded (that
-      is experiment T2's point, not a soundness bug).
-    - [Joint]/[Bypass]: joint shared-L2 analysis (without/with
-      single-usage bypass) vs. a contended run of the whole task group
-      on the shared-L2 machine, co-runner interference included.
-    - [Columnized]/[Bankized]: partitioned L2 slices vs. a contended run
-      on the sliced machine.
-    - [Locked]: statically locked shared L2; the simulator's L2 is
-      preloaded with the same global selection the analysis chose.
-    - [Dynamic]: dynamic locking is analysis-level only (the machine
-      does not reprogram lock bits at run time), so its bound is checked
-      analytically against the task's BCET, never against a run.
+    - Contended modes: each mode's per-core bounds and its simulated
+      machine both come from the {!Core.Mode} table.  The oblivious
+      bound is validated against solo runs (under contention it can be
+      exceeded — experiment T2's point, not a soundness bug); dynamic
+      locking has no machine, so its bound is only checked analytically
+      against the task's BCET.
 
     BCET is computed once per task on the interference-free private
-    platform: it lower-bounds every execution on every mode, contended
-    ones included. *)
+    platform ({!Core.Multicore.oblivious_platform}): it lower-bounds
+    every execution on every mode, contended ones included. *)
 
-type mode =
+type mode = Core.Mode.t =
   | Solo
   | Oblivious
   | Joint
@@ -40,8 +31,10 @@ type mode =
   | Dynamic
 
 val all_modes : mode list
+(** {!Core.Mode.all}. *)
+
 val mode_name : mode -> string
-val mode_of_string : string -> (mode, string) result
+(** {!Core.Mode.name}. *)
 
 type interp = [ `Block | `Reference | `Both ]
 (** Which simulator interpreter the observed side runs on.  [`Both]

@@ -5,7 +5,7 @@ type config = {
   connections : int;
   repeat_ratio : float;
   working_set : int;
-  modes : Fuzz.Oracle.mode list;
+  modes : Core.Mode.t list;
   cores : int;
   kind : Modes.kind;
   seed : int;
@@ -21,7 +21,7 @@ let default_config =
     connections = 8;
     repeat_ratio = 0.8;
     working_set = 4;
-    modes = Fuzz.Oracle.all_modes;
+    modes = Core.Mode.all;
     cores = 2;
     kind = Modes.Wcet;
     seed = 42;
@@ -89,7 +89,9 @@ let outcome_hist acc name = List.assoc name acc.h_outcome
 (* BCET is only served for solo; when the kind is bcet, contended modes
    in the rotation would all be protocol errors, so pin the mode. *)
 let effective_modes cfg =
-  match cfg.kind with Modes.Bcet -> [ Fuzz.Oracle.Solo ] | Modes.Wcet -> cfg.modes
+  match cfg.kind with
+  | Modes.Bcet -> [ Core.Mode.Solo ]
+  | Modes.Wcet -> cfg.modes
 
 let bench_names =
   lazy
@@ -102,7 +104,7 @@ let request_json cfg ~id ~mode ~fresh_index rng =
     [
       ("id", Json.Int id);
       ("op", Json.Str "analyze");
-      ("mode", Json.Str (Fuzz.Oracle.mode_name mode));
+      ("mode", Json.Str (Core.Mode.name mode));
       ("cores", Json.Int cfg.cores);
       ("kind", Json.Str (Modes.kind_name cfg.kind));
     ]

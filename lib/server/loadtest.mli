@@ -20,7 +20,7 @@ type config = {
   working_set : int;
       (** how many catalog benchmarks the repeated mix draws from —
           small keeps the repeat traffic genuinely hot *)
-  modes : Fuzz.Oracle.mode list;  (** rotation; must be nonempty *)
+  modes : Core.Mode.t list;  (** rotation; must be nonempty *)
   cores : int;
   kind : Modes.kind;
   seed : int;

@@ -7,12 +7,6 @@ let kind_of_string = function
   | "bcet" -> Ok Bcet
   | s -> Error (Printf.sprintf "unknown kind %S (expected wcet | bcet)" s)
 
-let mode_of_string = Fuzz.Oracle.mode_of_string
-
-(* Same shared-L2 geometry the CLI's attribute/analyze paths use. *)
-let l2_cfg = Cache.Config.make ~sets:64 ~assoc:4 ~line_size:16
-let solo_platform () = Core.Platform.single_core ~l2:l2_cfg ()
-
 let system ~cores task =
   Core.Multicore.default_system ~cores
     ~tasks:(Array.make cores (Some task))
@@ -49,11 +43,11 @@ let store_key ?refine ~mode ~cores ~kind annot program =
     match refine with None -> "norefine" | Some c -> Refine.salt c
   in
   match mode with
-  | Fuzz.Oracle.Solo -> (
+  | Core.Mode.Solo -> (
       match
         Core.Memo.key ~kind:kind_s ~annot
           ~salt:(Option.map Refine.salt refine)
-          (solo_platform ()) program
+          (Core.Mode.solo_platform ()) program
       with
       | Some k -> k
       | None ->
@@ -74,7 +68,7 @@ let store_key ?refine ~mode ~cores ~kind annot program =
         [
           "paratime-serve-v1";
           kind_s;
-          Fuzz.Oracle.mode_name mode;
+          Core.Mode.name mode;
           string_of_int cores;
           refine_s;
           system_fingerprint sys;
@@ -90,20 +84,19 @@ let store_key ?refine ~mode ~cores ~kind annot program =
 let analyze_mode ?ctxs ?solo_ctx ?refine ~mode ~cores ~kind
     ((program, annot) as task) =
   let ctxs () = Option.map Lazy.force ctxs in
+  let solo = Core.Mode.solo_platform () in
   let solo_wcet () =
     match solo_ctx with
-    | Some ctx ->
-        Core.Wcet.analyze_with ?refine ~ctx:(Lazy.force ctx) (solo_platform ())
-    | None -> Core.Wcet.analyze ~annot ?refine (solo_platform ()) program
+    | Some ctx -> Core.Wcet.analyze_with ?refine ~ctx:(Lazy.force ctx) solo
+    | None -> Core.Wcet.analyze ~annot ?refine solo program
   in
   let solo_bcet () =
     match solo_ctx with
-    | Some ctx ->
-        Core.Bcet.analyze_with ~ctx:(Lazy.force ctx) (solo_platform ())
-    | None -> Core.Bcet.analyze ~annot (solo_platform ()) program
+    | Some ctx -> Core.Bcet.analyze_with ~ctx:(Lazy.force ctx) solo
+    | None -> Core.Bcet.analyze ~annot solo program
   in
   match (kind, mode) with
-  | Bcet, Fuzz.Oracle.Solo -> (
+  | Bcet, Core.Mode.Solo -> (
       match solo_bcet () with
       | b -> Ok (Store.Entry.of_bcet b)
       | exception Core.Wcet.Not_analysable msg ->
@@ -112,60 +105,32 @@ let analyze_mode ?ctxs ?solo_ctx ?refine ~mode ~cores ~kind
       Error
         (Printf.sprintf
            "kind bcet is only defined for mode solo (got mode %s)"
-           (Fuzz.Oracle.mode_name m))
+           (Core.Mode.name m))
   | Wcet, m -> (
-      let of_core0 results =
-        match results.(0) with
-        | Some w -> Ok (Store.Entry.of_wcet w)
-        | None -> Error "no analysis result for core 0"
-      in
       match
         match m with
-        | Fuzz.Oracle.Solo -> Ok (Store.Entry.of_wcet (solo_wcet ()))
-        | Fuzz.Oracle.Oblivious ->
-            of_core0
-              (Core.Multicore.analyze_oblivious ?ctxs:(ctxs ()) ?refine
-                 (system ~cores task))
-        | Fuzz.Oracle.Joint ->
-            of_core0
-              (Core.Multicore.analyze_joint ?ctxs:(ctxs ()) ?refine
-                 (system ~cores task) ())
-        | Fuzz.Oracle.Bypass ->
-            of_core0
-              (Core.Multicore.analyze_joint ?ctxs:(ctxs ()) ?refine
-                 (system ~cores task) ~bypass:true ())
-        | Fuzz.Oracle.Columnized ->
-            of_core0
-              (Core.Multicore.analyze_partitioned ?ctxs:(ctxs ()) ?refine
-                 (system ~cores task) ~scheme:Cache.Partition.Columnization)
-        | Fuzz.Oracle.Bankized ->
-            of_core0
-              (Core.Multicore.analyze_partitioned ?ctxs:(ctxs ()) ?refine
-                 (system ~cores task) ~scheme:Cache.Partition.Bankization)
-        | Fuzz.Oracle.Locked ->
-            of_core0
-              (Core.Multicore.analyze_locked ?ctxs:(ctxs ()) ?refine
-                 (system ~cores task))
-        | Fuzz.Oracle.Dynamic ->
-            of_core0
-              (Core.Multicore.analyze_locked_dynamic ?ctxs:(ctxs ()) ?refine
-                 (system ~cores task))
+        | Core.Mode.Solo -> Some (solo_wcet ())
+        | m ->
+            (Core.Mode.analyze ?ctxs:(ctxs ()) ?refine (system ~cores task) m)
+              .(0)
       with
-      | r -> r
+      | Some w -> Ok (Store.Entry.of_wcet w)
+      | None -> Error "no analysis result for core 0"
       | exception Core.Wcet.Not_analysable msg ->
           Error ("not analysable: " ^ msg))
 
 let analyze ?refine ~mode ~cores ~kind task =
   analyze_mode ?refine ~mode ~cores ~kind task
 
-let analyze_all ?(modes = Fuzz.Oracle.all_modes) ?refine ~cores ~kind
+let analyze_all ?(modes = Core.Mode.all) ?refine ~cores ~kind
     ((program, annot) as task) =
   (* One context pack for the whole request: every contended mode's back
      end shares the task-group contexts, solo shares its own.  Lazy so a
      modes list that never touches one pack never pays for it. *)
   let ctxs = lazy (Core.Multicore.contexts (system ~cores task)) in
   let solo_ctx =
-    lazy (Core.Context.of_platform ~annot (solo_platform ()) program)
+    lazy
+      (Core.Context.of_platform ~annot (Core.Mode.solo_platform ()) program)
   in
   List.map
     (fun mode ->

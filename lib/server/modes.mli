@@ -1,9 +1,10 @@
 (** Per-approach-mode analysis wiring for the service.
 
-    The serve protocol names the same eight approach modes the fuzz
-    oracle validates ({!Fuzz.Oracle.mode}); this module maps a (mode,
-    cores, kind, task) request to a distilled {!Store.Entry.t} and to the
-    store key that caches it.
+    The serve protocol names the eight approach modes of {!Core.Mode};
+    this module maps a (mode, cores, kind, task) request to a distilled
+    {!Store.Entry.t} and to the store key that caches it.  The per-mode
+    analysis itself is {!Core.Mode.analyze} ([Solo]: the
+    {!Core.Mode.solo_platform} hardware).
 
     Co-runner convention: the contended modes analyze a task *group*
     with the requested program on every core (the same convention
@@ -26,13 +27,9 @@ type kind = Wcet | Bcet
 val kind_name : kind -> string
 val kind_of_string : string -> (kind, string) result
 
-val mode_of_string : string -> (Fuzz.Oracle.mode, string) result
-(** {!Fuzz.Oracle.mode_of_string} minus [Solo]-only spellings — accepts
-    exactly the oracle's eight names. *)
-
 val store_key :
   ?refine:Refine.config ->
-  mode:Fuzz.Oracle.mode ->
+  mode:Core.Mode.t ->
   cores:int ->
   kind:kind ->
   Dataflow.Annot.t ->
@@ -44,7 +41,7 @@ val store_key :
 
 val analyze :
   ?refine:Refine.config ->
-  mode:Fuzz.Oracle.mode ->
+  mode:Core.Mode.t ->
   cores:int ->
   kind:kind ->
   Isa.Program.t * Dataflow.Annot.t ->
@@ -56,14 +53,14 @@ val analyze :
     {!Engine.Service}. *)
 
 val analyze_all :
-  ?modes:Fuzz.Oracle.mode list ->
+  ?modes:Core.Mode.t list ->
   ?refine:Refine.config ->
   cores:int ->
   kind:kind ->
   Isa.Program.t * Dataflow.Annot.t ->
-  (Fuzz.Oracle.mode * (Store.Entry.t, string) result) list
+  (Core.Mode.t * (Store.Entry.t, string) result) list
 (** The multi-mode op behind [mode:"all"]: one entry per requested mode
-    (default: all eight, in {!Fuzz.Oracle.all_modes} order), computed
+    (default: all eight, in {!Core.Mode.all} order), computed
     from a *shared* mode-invariant context pack — the task group's
     {!Core.Multicore.contexts} for the contended modes plus one solo
     context (the solo platform's L1 geometry differs from the system's,

@@ -106,7 +106,7 @@ let key_for state (req : Protocol.request) ~mode ~cores ~kind annot program =
   | Protocol.Bench name ->
       let token =
         Printf.sprintf "%s|%s|%d|%s|%s" name
-          (Fuzz.Oracle.mode_name mode)
+          (Core.Mode.name mode)
           cores (Modes.kind_name kind)
           (match refine with None -> "norefine" | Some c -> Refine.salt c)
       in
@@ -238,7 +238,7 @@ let handle_one_mode state tr (req : Protocol.request) ~detail ~mode task =
   | None -> (
       let label =
         Printf.sprintf "serve:%s:%s"
-          (Fuzz.Oracle.mode_name mode)
+          (Core.Mode.name mode)
           (Modes.kind_name kind)
       in
       match
@@ -281,9 +281,9 @@ let handle_all_modes state tr (req : Protocol.request) ~detail task =
       (fun mode ->
         let key = key_for state req ~mode ~cores ~kind annot program in
         (mode, key, Store.Front.find state.front key))
-      Fuzz.Oracle.all_modes
+      Core.Mode.all
   in
-  probe_phase_modes tr (List.length Fuzz.Oracle.all_modes);
+  probe_phase_modes tr (List.length Core.Mode.all);
   let missing =
     List.filter_map
       (fun (m, _, found) -> if found = None then Some m else None)
@@ -319,7 +319,7 @@ let handle_all_modes state tr (req : Protocol.request) ~detail task =
       let rows =
         List.map
           (fun (mode, key, found) ->
-            let name = Fuzz.Oracle.mode_name mode in
+            let name = Core.Mode.name mode in
             let hit cached entry =
               Obs.add ("server." ^ Protocol.cached_name cached) 1;
               (name, Ok (cached, key, entry))

@@ -3,8 +3,7 @@
     {!Entry}: distilled WCET/BCET results (bound + full {!Attrib}
     decomposition) with a canonical versioned binary codec.
     {!Disk}: the bounded, checksummed, LRU-evicting on-disk layer.
-    {!Front}: {!Engine.Lru} of decoded entries in front of a disk, with
-    the {!Core.Memo} second-level adapter. *)
+    {!Front}: {!Engine.Lru} of decoded entries in front of a disk. *)
 
 module Entry = Entry
 module Disk = Disk

@@ -193,6 +193,33 @@ let test_csv_shape () =
         (List.length rows)
   | [] -> Alcotest.fail "empty csv"
 
+(* Golden digest of every check's (mode, shape, task, core, bcet, wcet,
+   observed) over a fixed 2-core campaign through all eight modes.  It
+   pins how each approach mode drives both the analyses and the
+   simulated machine: a change to either side of any mode moves it. *)
+let golden_oracle_digest = "5cfcd93250043450dedffa67233ba891"
+
+let test_golden_digest () =
+  let c = O.run_campaign ~seed:2011 ~count:6 ~cores:2 ~workers:1 () in
+  let r = c.O.report in
+  Alcotest.(check int) "violations" 0 (List.length r.O.violations);
+  Alcotest.(check (list string))
+    "every mode checked"
+    (List.map O.mode_name O.all_modes)
+    (List.map (fun (k : O.check) -> k.O.mode) r.O.checks
+    |> List.sort_uniq compare |> List.map O.mode_name);
+  let rows =
+    List.map
+      (fun (k : O.check) ->
+        Printf.sprintf "%s,%s,%s,%d,%d,%d,%s\n" (O.mode_name k.O.mode)
+          k.O.shape k.O.task k.O.core k.O.bcet k.O.wcet
+          (match k.O.observed with Some o -> string_of_int o | None -> "-"))
+      r.O.checks
+  in
+  Alcotest.(check string)
+    "oracle digest" golden_oracle_digest
+    (Digest.to_hex (Digest.string (String.concat "" rows)))
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -217,5 +244,6 @@ let () =
           Alcotest.test_case "rejects bad inputs" `Quick
             test_campaign_rejects_bad_inputs;
           Alcotest.test_case "csv shape" `Quick test_csv_shape;
+          Alcotest.test_case "golden oracle digest" `Quick test_golden_digest;
         ] );
     ]

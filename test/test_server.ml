@@ -155,8 +155,18 @@ let test_cold_hot_warm_identity () =
 
 (* [mode:"all"]: one request sweeps every approach mode from a shared
    context pack; per-mode results share store keys with the single-mode
-   path in both directions. *)
+   path in both directions.  Every mode name the sweep reports parses
+   back to its mode, in any case. *)
 let test_mode_all () =
+  List.iter
+    (fun m ->
+      let n = Core.Mode.name m in
+      Alcotest.(check bool) (n ^ " round-trips") true
+        (Core.Mode.of_string n = Ok m
+        && Core.Mode.of_string (String.uppercase_ascii n) = Ok m))
+    Core.Mode.all;
+  Alcotest.(check bool) "unknown mode rejected" true
+    (Result.is_error (Core.Mode.of_string "warp-drive"));
   with_server (fun port ->
       let joint_single =
         raw_request port
@@ -182,7 +192,7 @@ let test_mode_all () =
           | Some (Json.Obj fields) ->
               Alcotest.(check (list string))
                 "all eight modes in oracle order"
-                (List.map Fuzz.Oracle.mode_name Fuzz.Oracle.all_modes)
+                (List.map Core.Mode.name Core.Mode.all)
                 (List.map fst fields);
               List.iter
                 (fun (name, sub) ->

@@ -294,10 +294,6 @@ let test_front_memory_only () =
   | Some (Store.Front.Memory, e') ->
       Alcotest.(check bool) "memory hit is equal" true (Store.Entry.equal e e')
   | _ -> Alcotest.fail "expected a memory hit");
-  Alcotest.(check (option string))
-    "find_blob re-encodes canonically"
-    (Some (Store.Entry.encode e))
-    (Store.Front.find_blob front (key_of 0));
   Store.Front.close front
 
 let test_front_write_behind_promotes () =
